@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -232,9 +233,8 @@ def _cmd_run(args) -> int:
 
 
 def _batch_worker(payload: tuple) -> dict:
-    network_spec, index, seed, strategies, event, p_hazard, mpc_horizon = payload
+    net, index, seed, strategies, event, p_hazard, mpc_horizon = payload
     try:
-        net = _load_net(network_spec)
         scenario = sample_scenario(net, event, p_hazard=p_hazard, seed=seed)
         record: dict = {
             "index": index,
@@ -309,8 +309,12 @@ def _cmd_batch(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     event = _build_event(args)
+    log.info("loading network %s", args.network)
+    # one network object for every scenario, so the per-network work it
+    # memoizes (peak flows, baseline series, dispatches) is done once
+    net = _load_net(args.network)
     payloads = [
-        (args.network, i, args.seed + i, strategies, event, args.p_hazard, args.horizon)
+        (net, i, args.seed + i, strategies, event, args.p_hazard, args.horizon)
         for i in range(args.scenarios)
     ]
 
@@ -322,7 +326,9 @@ def _cmd_batch(args) -> int:
     )
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_batch_worker, payloads))
+            # one chunk per worker: each unpickles the network once
+            chunksize = math.ceil(len(payloads) / args.jobs)
+            records = list(pool.map(_batch_worker, payloads, chunksize=chunksize))
     else:
         records = [_batch_worker(p) for p in payloads]
 

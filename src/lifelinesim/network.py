@@ -159,6 +159,9 @@ class IntegratedNetwork:
         }
         self.zone_priority: dict[str, int] = dict(zone_priority or {})
         self._by_id = {c.id: c for c in self.components}
+        # solver results that depend only on this network (plus the
+        # statuses or parameters in their key), filled on first use
+        self._memo: dict = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegratedNetwork):
@@ -168,6 +171,27 @@ class IntegratedNetwork:
             and self.dependencies == other.dependencies
             and self.od_matrix == other.od_matrix
             and self.zone_priority == other.zone_priority
+        )
+
+    def cached(self, key, compute):
+        """The memo entry under ``key``, set to ``compute()`` on first use.
+
+        Runs that share this network then share the entry, so callers
+        must not mutate what they get back.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
+
+    def service_key(self, network: str, component_statuses: dict[str, str]) -> frozenset:
+        """Whether each component of ``network`` listed in the statuses is
+        in service: all that a solver of that network reads from them."""
+        return frozenset(
+            (cid, status in IN_SERVICE)
+            for cid, status in component_statuses.items()
+            if cid in self._by_id and self._by_id[cid].network == network
         )
 
     def component(self, component_id: str) -> Component:
@@ -203,9 +227,6 @@ class IntegratedNetwork:
             and (kind is None or c.kind == kind)
         ]
 
-    def attached_at(self, bus_id: str) -> list[Component]:
-        return [c for c in self.attached_of() if bus_id in (c.buses or ())]
-
     def consumers(self, network: str) -> list[Component]:
         """Components whose service level feeds the performance metrics."""
         if network == WATER:
@@ -217,24 +238,6 @@ class IntegratedNetwork:
         if network == POWER:
             return [c for c in self.attached_of() if c.kind in ("load", "motor")]
         raise ValueError(f"no consumer definition for network {network!r}")
-
-    def dependents_of(self, component_id: str) -> list[Component]:
-        """Targets sustained by the component or by anything attached to it.
-
-        Asking for a bus returns the dependents of every motor/generator
-        riding that bus, so outage propagation can be driven off either
-        the attachment or its supporting node.
-        """
-        source_ids = {component_id}
-        if self.has_component(component_id):
-            comp = self.component(component_id)
-            if comp.kind == "bus":
-                source_ids.update(a.id for a in self.attached_at(component_id))
-        return [
-            self.component(d.target_id)
-            for d in self.dependencies
-            if d.source_id in source_ids
-        ]
 
     def hazard_eligible(self) -> list[Component]:
         return [c for c in self.components if c.kind in HAZARD_ELIGIBLE_KINDS]

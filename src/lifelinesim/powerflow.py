@@ -195,7 +195,8 @@ def solve_power(
         for k, s in enumerate(isl_sources):
             generation[s.id] = float(x[gen0 + k])
         for k, c in enumerate(isl_consumers):
-            served[c.id] = float(min(x[srv0 + k], c.attrs["demand_mw"]))
+            # HiGHS may overshoot either bound by round-off (-6.1e-11 MW seen)
+            served[c.id] = float(min(max(x[srv0 + k], 0.0), c.attrs["demand_mw"]))
         total_cost += float(cost @ x[gen0:srv0])
 
         # energy balance audit per supernode

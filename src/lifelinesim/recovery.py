@@ -11,7 +11,7 @@ pipeline, and commits one repair at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable
 
@@ -30,7 +30,7 @@ from .network import (
     traffic_adjacency,
 )
 from .powerflow import solve_power
-from .traffic import TrafficParams, assign_traffic
+from .traffic import TrafficAssignmentError, TrafficParams, assign_traffic, link_times_key
 
 STRATEGIES = ("max_flow", "centrality", "crew_distance", "zone")
 
@@ -71,13 +71,6 @@ class Crew:
     busy_until: float = 0.0
 
 
-@dataclass(frozen=True)
-class RepairTask:
-    component_id: str
-    repair_duration: float
-    priority_rank: int
-
-
 def default_crews(net: IntegratedNetwork, start: str | None = None) -> list[Crew]:
     """One crew per network, garaged at the highest-priority zone."""
     if start is None:
@@ -100,12 +93,14 @@ class PlanningContext:
     travel_time: Callable[[str, str], float] | None = None
 
 
-def _post_failure_travel(net, statuses) -> Callable[[str, str], float]:
+def _post_failure_travel(net, statuses, params=None) -> Callable[[str, str], float]:
     """Congested origin->destination times under current road conditions."""
     try:
-        state = assign_traffic(net, statuses)
-        times = state.link_time
-    except Exception:
+        times = net.cached(
+            link_times_key(net, statuses, params),
+            lambda: assign_traffic(net, statuses, params=params).link_time,
+        )
+    except TrafficAssignmentError:
         times = None  # fall back to free-flow weights
     adj = traffic_adjacency(net, statuses, times)
     dist_cache: dict[str, dict[str, float]] = {}
@@ -128,11 +123,33 @@ def build_planning_context(
     """Pre-disaster flow solutions plus crew starts and zone priorities.
 
     Peak flows come from undisrupted solver runs (an hour of hydraulics
-    to catch tank-driven drift, one dispatch, one assignment). Travel
-    times are congested times under the post-failure road network, since
-    that is what a crew leaving its garage actually faces.
+    to catch tank-driven drift, one dispatch, one assignment). They
+    depend only on the network and the parameters, so they are solved
+    once per network and parameter pair and shared by later calls.
+    Travel times are congested times under the post-failure road
+    network, since that is what a crew leaving its garage actually
+    faces; the assignment behind them is solved once per network and
+    set of road-link statuses, and shared with ``build_event_table``.
     """
     crews = crews if crews is not None else default_crews(net)
+    hydraulic_params = hydraulic_params or HydraulicParams()
+    traffic_params = traffic_params or TrafficParams()
+    peak = net.cached(
+        ("peak_flow", hydraulic_params, traffic_params),
+        lambda: _peak_flows(net, hydraulic_params, traffic_params),
+    )
+    statuses = {cid: STATUS_FAILED for cid in failed}
+    return PlanningContext(
+        peak_flow=dict(peak),
+        crew_start={c.network: c.location for c in crews},
+        zone_priority=dict(net.zone_priority),
+        travel_time=_post_failure_travel(net, statuses, traffic_params),
+    )
+
+
+def _peak_flows(
+    net: IntegratedNetwork, hydraulic_params: HydraulicParams, traffic_params: TrafficParams
+) -> dict[str, float]:
     peak: dict[str, float] = {}
 
     states = solve_hydraulics(net, {}, duration=3600.0, step=60.0, params=hydraulic_params)
@@ -146,14 +163,7 @@ def build_planning_context(
     flows = assign_traffic(net, {}, params=traffic_params)
     for lid, x in flows.link_flow.items():
         peak[lid] = abs(x)
-
-    statuses = {cid: STATUS_FAILED for cid in failed}
-    return PlanningContext(
-        peak_flow=peak,
-        crew_start={c.network: c.location for c in crews},
-        zone_priority=dict(net.zone_priority),
-        travel_time=_post_failure_travel(net, statuses),
-    )
+    return peak
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +178,12 @@ def betweenness_centrality(
 
 
 def _network_betweenness(net: IntegratedNetwork, network: str) -> dict[str, float]:
-    nodes = [c.id for c in net.nodes_of(network)]
-    edges = {c.id: c.ends for c in net.edges_of(network)}
-    return betweenness_centrality(nodes, edges, directed=(network == TRAFFIC))
+    def compute() -> dict[str, float]:
+        nodes = [c.id for c in net.nodes_of(network)]
+        edges = {c.id: c.ends for c in net.edges_of(network)}
+        return betweenness_centrality(nodes, edges, directed=(network == TRAFFIC))
+
+    return net.cached(("betweenness", network), compute)
 
 
 def _peak(context: PlanningContext, component_id: str) -> float:

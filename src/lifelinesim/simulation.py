@@ -49,7 +49,7 @@ from .recovery import (
     rank_components,
     repair_duration,
 )
-from .traffic import TrafficAssignmentError, TrafficParams, assign_traffic
+from .traffic import TrafficAssignmentError, TrafficParams, assign_traffic, link_times_key
 from . import graphs
 
 ACTION_FAIL = "fail"
@@ -245,7 +245,12 @@ def build_event_table(
     crew_list = [replace(c) for c in (crews if crews is not None else default_crews(net))]
     by_network: dict[str, Crew] = {}
     for crew in sorted(crew_list, key=lambda c: c.id):
-        by_network.setdefault(crew.network, crew)  # first crew per network does the work
+        if crew.network in by_network:
+            raise SimulationError(
+                f"crews {by_network[crew.network].id} and {crew.id} both serve "
+                f"{crew.network}; scheduling supports one crew per network"
+            )
+        by_network[crew.network] = crew
         crew.busy_until = max(crew.busy_until, occurrence)
 
     pending: dict[str, list[str]] = {
@@ -258,7 +263,10 @@ def build_event_table(
 
     def refresh_times() -> dict[str, float] | None:
         try:
-            return assign_traffic(net, statuses, params=traffic_params).link_time
+            return net.cached(
+                link_times_key(net, statuses, traffic_params),
+                lambda: assign_traffic(net, statuses, params=traffic_params).link_time,
+            )
         except TrafficAssignmentError as exc:
             raise SimulationError(f"traffic assignment failed during scheduling: {exc}") from exc
 
@@ -391,6 +399,16 @@ _ACTION_STATUS = {
 }
 
 
+def _on_grid(t: float) -> bool:
+    return abs(t / WATER_SAMPLE_STEP - round(t / WATER_SAMPLE_STEP)) < 1e-9
+
+
+def _dispatch(net: IntegratedNetwork, statuses: dict[str, str], forced_off=frozenset()):
+    """``solve_power``, solved once per network and per key of what it reads."""
+    key = ("dispatch", net.service_key(POWER, statuses), frozenset(forced_off))
+    return net.cached(key, lambda: solve_power(net, statuses, forced_off=forced_off))
+
+
 def _run_series(
     net: IntegratedNetwork,
     table: EventTable,
@@ -434,7 +452,7 @@ def _run_series(
 
     def solve_dispatch(t: float):
         try:
-            return solve_power(net, statuses, forced_off=forced_generators)
+            return _dispatch(net, statuses, forced_generators)
         except PowerFlowError as exc:
             raise SimulationError(f"power dispatch failed at t={t}: {exc}") from exc
 
@@ -455,9 +473,6 @@ def _run_series(
             dry_sources.clear()
             dry_sources.update(state.dry_tanks)
 
-    def on_grid(t: float) -> bool:
-        return abs(t / WATER_SAMPLE_STEP - round(t / WATER_SAMPLE_STEP)) < 1e-9
-
     for a, b in zip(boundaries, boundaries[1:]):
         apply_rows(a)
 
@@ -475,7 +490,7 @@ def _run_series(
         now = a
         while now < b - _TIME_TOL:
             solve_water(now, a, b)
-            if on_grid(now):
+            if _on_grid(now):
                 water_times.append(now)
                 water_rows.append(list(water_row))
             next_grid = (math.floor(now / WATER_SAMPLE_STEP) + 1) * WATER_SAMPLE_STEP
@@ -509,6 +524,33 @@ def _run_series(
     )
 
 
+def _baseline_water(
+    net: IntegratedNetwork, horizon: float, hydraulic_params: HydraulicParams | None
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Undisrupted water samples up to ``horizon``: ids, times, rows.
+
+    The network keeps one baseline per set of hydraulic parameters, run
+    to the longest on-grid horizon asked for so far. A shorter on-grid
+    horizon reads its prefix, which is bit-identical to a run of its
+    own; an off-grid horizon is run directly.
+    """
+
+    def run() -> tuple[list[str], np.ndarray, np.ndarray]:
+        ids, times, rows, _, _, _ = _run_series(net, EventTable(()), horizon, hydraulic_params)
+        times.flags.writeable = rows.flags.writeable = False  # shared by later runs
+        return ids, times, rows
+
+    if not _on_grid(horizon):
+        return run()
+    key = ("baseline_water", hydraulic_params or HydraulicParams())
+    kept = net._memo.get(key)
+    if kept is None or kept[1][-1] < horizon:
+        kept = net._memo[key] = run()
+    ids, times, rows = kept
+    n = round(horizon / WATER_SAMPLE_STEP) + 1
+    return ids, times[:n], rows[:n]
+
+
 def default_horizon(table: EventTable) -> float:
     last_end = table.last_repair_end()
     base = last_end if last_end is not None else table.last_time()
@@ -528,6 +570,12 @@ def simulate(
     is sampled on a global one-minute grid with tank levels integrated
     through sub-minute event boundaries. Baseline (normal-operations)
     service comes from an undisrupted pass over the same horizon.
+
+    Work that depends only on the network is done once per network and
+    shared by every later call on it: the undisrupted pass (kept to the
+    longest on-grid horizon seen, see ``_baseline_water``) and each
+    dispatch, keyed by the power components' in-service flags and the
+    forced-off generators.
     """
     problems = table.validate()
     if problems:
@@ -540,13 +588,11 @@ def simulate(
         )
 
     water_ids, wt, ws, power_ids, pt, ps = _run_series(net, table, horizon, hydraulic_params)
-    base_ids, bwt, bws, bp_ids, _, _ = _run_series(
-        net, EventTable(()), horizon, hydraulic_params
-    )
+    base_ids, bwt, bws = _baseline_water(net, horizon, hydraulic_params)
     if base_ids != water_ids or len(bwt) != len(wt):
         raise SimulationError("baseline and disrupted sample grids diverged")
 
-    base_power = solve_power(net, {})
+    base_power = _dispatch(net, {})
     power_baseline = np.tile(
         [base_power.served.get(cid, 0.0) for cid in power_ids], (len(pt), 1)
     )
@@ -639,7 +685,7 @@ def run_scenario(
 
     if crews is None:
         crews = default_crews(net)
-    context = build_planning_context(net, crews, failed)
+    context = build_planning_context(net, crews, failed, hydraulic_params=hydraulic_params)
     if strategy == "mpc":
         completion = rank_components(net, failed, "max_flow", context)
         evaluate = make_weighted_eoh_evaluator(

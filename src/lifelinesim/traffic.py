@@ -43,9 +43,6 @@ class TrafficState:
     beckmann_history: list[float]
     _adjacency: graphs.Adjacency = field(repr=False, default_factory=dict)
 
-    def congested_time(self, link_id: str) -> float:
-        return self.link_time[link_id]
-
 
 def _bpr(x, t0, cap, prm: TrafficParams):
     return t0 * (1.0 + prm.alpha * (x / cap) ** prm.beta)
@@ -161,6 +158,14 @@ def assign_traffic(
         beckmann_history=history,
         _adjacency=adjacency(times),
     )
+
+
+def link_times_key(
+    net: IntegratedNetwork, component_statuses: dict[str, str], params: TrafficParams | None
+) -> tuple:
+    """Memo key of the congested link times ``assign_traffic`` returns:
+    the road links' in-service flags and the parameters."""
+    return ("link_times", net.service_key(TRAFFIC, component_statuses), params or TrafficParams())
 
 
 def shortest_travel_time(state: TrafficState, origin: str, destination: str) -> float:

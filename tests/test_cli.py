@@ -134,6 +134,17 @@ class TestBatch:
                 tmp_path / "parallel" / name
             )
 
+    def test_unloadable_network_fails_once_without_files(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        code = run_cli(
+            "batch", "--network", str(tmp_path / "nope.json"), "--hazard", "random",
+            "--count", "1", "--seed", "1", "--scenarios", "3", "--out", str(out),
+        )
+        assert code == 1
+        assert list(out.iterdir()) == []
+        failures = [r for r in caplog.records if r.levelname in ("WARNING", "ERROR")]
+        assert len(failures) == 1 and "nope.json" in failures[0].getMessage()
+
     def test_unknown_strategy_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli(

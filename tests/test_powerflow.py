@@ -2,6 +2,7 @@
 
 import pytest
 
+from lifelinesim import powerflow
 from lifelinesim.network import Component, IntegratedNetwork, POWER
 from lifelinesim.powerflow import PowerFlowError, motor_operational, solve_power
 
@@ -40,6 +41,21 @@ class TestCapacityShedding:
         state = solve_power(net, {})
         assert state.served["LD2"] == pytest.approx(25.0, abs=1e-9)
         assert abs(state.line_flow["LN1"]) <= 25.0 + 1e-9
+
+
+    def test_served_round_off_below_zero_is_clipped(self, shed_net, monkeypatch):
+        real_linprog = powerflow.linprog
+
+        def linprog(*args, **kwargs):
+            res = real_linprog(*args, **kwargs)
+            res.x[-1] = -6.1e-11  # LD3's served load, as HiGHS once returned it
+            return res
+
+        monkeypatch.setattr(powerflow, "linprog", linprog)
+        state = solve_power(shed_net, {})
+        assert state.served["LD3"] == 0.0
+        assert state.shed["LD3"] == 30.0
+        assert min(state.served.values()) >= 0.0
 
 
 class TestIslanding:

@@ -4,8 +4,16 @@ import itertools
 
 import pytest
 
+from lifelinesim import graphs, recovery
 from lifelinesim.hazard import HazardEvent, sample_scenario
-from lifelinesim.network import Component, IntegratedNetwork, POWER, TRAFFIC, WATER
+from lifelinesim.network import (
+    Component,
+    IntegratedNetwork,
+    POWER,
+    TRAFFIC,
+    WATER,
+    traffic_adjacency,
+)
 from lifelinesim.recovery import (
     MPC_CANDIDATE_LIMIT,
     Crew,
@@ -19,6 +27,8 @@ from lifelinesim.recovery import (
     rank_components,
     repair_duration,
 )
+from lifelinesim.testbed import build_simple_testbed
+from lifelinesim.traffic import TrafficAssignmentError
 
 
 @pytest.fixture(scope="module")
@@ -264,3 +274,28 @@ class TestPlanningContext:
             assert cid in ctx.peak_flow
             assert ctx.peak_flow[cid] >= 0.0
         assert ctx.peak_flow["PL1"] == pytest.approx(35.0, abs=1e-6)
+
+    @staticmethod
+    def _post_failure_assignment_raises(monkeypatch, exc):
+        """Undisrupted assignments (peak flows) solve; the post-failure one raises."""
+        real_assign = recovery.assign_traffic
+
+        def assign_traffic(net, statuses, **kwargs):
+            if statuses:
+                raise exc
+            return real_assign(net, statuses, **kwargs)
+
+        monkeypatch.setattr(recovery, "assign_traffic", assign_traffic)
+
+    def test_failed_assignment_falls_back_to_free_flow(self, monkeypatch):
+        self._post_failure_assignment_raises(monkeypatch, TrafficAssignmentError("no equilibrium"))
+        net = build_simple_testbed()
+        ctx = build_planning_context(net, default_crews(net), {"TL-T5-T2"})
+        free_flow = traffic_adjacency(net, {"TL-T5-T2": "failed"})
+        assert ctx.travel_time("T5", "T2") == graphs.dijkstra(free_flow, "T5")[0]["T2"]
+
+    def test_other_assignment_errors_propagate(self, monkeypatch):
+        self._post_failure_assignment_raises(monkeypatch, ValueError("bad demand"))
+        net = build_simple_testbed()
+        with pytest.raises(ValueError, match="bad demand"):
+            build_planning_context(net, default_crews(net), {"TL-T5-T2"})

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from lifelinesim import recovery
 from lifelinesim.hazard import ComponentFailure, DisasterScenario, HazardEvent
+from lifelinesim.hydraulics import HydraulicParams
 from lifelinesim.metrics import pcs, pcs_curve
 from lifelinesim.network import Component, IntegratedNetwork, TRAFFIC, WATER
 from lifelinesim.recovery import Crew, RecoveryError
@@ -21,6 +23,7 @@ from lifelinesim.simulation import (
     run_scenario,
     simulate,
 )
+from lifelinesim.testbed import build_simple_testbed
 
 # Feeder-line scenario on the built-in testbed, hand-checked end to end:
 # the line crew leaves T5 at t=3600 and the repair closes at this time.
@@ -262,6 +265,15 @@ class TestScheduling:
         with pytest.raises(SimulationError, match="twice"):
             build_event_table(corridor_net, scenario, {WATER: ["PW", "PW"]})
 
+    def test_second_crew_on_a_network_rejected(self, corridor_net):
+        crews = [
+            Crew(id="water-crew-1", network=WATER, location="Z1"),
+            Crew(id="water-crew-2", network=WATER, location="Z2"),
+        ]
+        with pytest.raises(SimulationError, match="one crew per network"):
+            build_event_table(corridor_net, _scenario([("PW", "leak")]), {WATER: ["PW"]},
+                              crews=crews)
+
     def test_allow_partial_skips_rest(self, blockage_net):
         scenario = _scenario([("PW", "leak"), ("RL-Z2-Z3", "full")])
         table = build_event_table(blockage_net, scenario,
@@ -389,3 +401,17 @@ class TestRunScenario:
             for s in ("max_flow", "centrality", "crew_distance", "zone")
         ]
         assert all(t == tables[0] for t in tables[1:])
+
+    def test_hydraulic_params_reach_planning(self, monkeypatch):
+        seen = []
+        real_solve = recovery.solve_hydraulics
+
+        def solve_hydraulics(*args, **kwargs):
+            seen.append(kwargs["params"])
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, "solve_hydraulics", solve_hydraulics)
+        params = HydraulicParams(pf=25.0)
+        run_scenario(build_simple_testbed(), _scenario([("PL5", "full")]), "max_flow",
+                     horizon=20000.0, hydraulic_params=params)
+        assert seen == [params]
