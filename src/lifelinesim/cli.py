@@ -326,8 +326,10 @@ def _cmd_batch(args) -> int:
     )
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            # one chunk per worker: each unpickles the network once
-            chunksize = math.ceil(len(payloads) / args.jobs)
+            # four chunks per worker: scenarios in a chunk share one
+            # unpickled network and its memo, while a slow chunk holds
+            # at most a quarter of a worker's share
+            chunksize = math.ceil(len(payloads) / (4 * args.jobs))
             records = list(pool.map(_batch_worker, payloads, chunksize=chunksize))
     else:
         records = [_batch_worker(p) for p in payloads]

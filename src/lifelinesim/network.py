@@ -173,17 +173,17 @@ class IntegratedNetwork:
             and self.zone_priority == other.zone_priority
         )
 
-    def cached(self, key, compute):
+    def cached(self, key, compute, usable=None):
         """The memo entry under ``key``, set to ``compute()`` on first use.
 
         Runs that share this network then share the entry, so callers
-        must not mutate what they get back.
+        must not mutate what they get back. An entry that ``usable``
+        rejects is computed again and replaced.
         """
-        try:
+        if key in self._memo and (usable is None or usable(self._memo[key])):
             return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = compute()
-            return value
+        value = self._memo[key] = compute()
+        return value
 
     def service_key(self, network: str, component_statuses: dict[str, str]) -> frozenset:
         """Whether each component of ``network`` listed in the statuses is

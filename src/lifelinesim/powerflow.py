@@ -238,6 +238,20 @@ def solve_power(
     )
 
 
+def dispatch_key(
+    net: IntegratedNetwork,
+    component_statuses: dict[str, str] | None = None,
+    forced_off: set[str] | None = None,
+) -> tuple:
+    """Memo key of the dispatch ``solve_power`` returns: the power
+    components' in-service flags and the forced-off sources."""
+    return (
+        "dispatch",
+        net.service_key(POWER, component_statuses or {}),
+        frozenset(forced_off or ()),
+    )
+
+
 def motor_operational(net: IntegratedNetwork, state: PowerState, motor_id: str) -> bool:
     """A motor runs only when its bus is energized and its demand is met."""
     motor = net.component(motor_id)

@@ -38,7 +38,7 @@ from .network import (
     check_transition,
     traffic_adjacency,
 )
-from .powerflow import PowerFlowError, motor_operational, solve_power
+from .powerflow import PowerFlowError, dispatch_key, motor_operational, solve_power
 from .recovery import (
     STRATEGIES,
     Crew,
@@ -405,8 +405,10 @@ def _on_grid(t: float) -> bool:
 
 def _dispatch(net: IntegratedNetwork, statuses: dict[str, str], forced_off=frozenset()):
     """``solve_power``, solved once per network and per key of what it reads."""
-    key = ("dispatch", net.service_key(POWER, statuses), frozenset(forced_off))
-    return net.cached(key, lambda: solve_power(net, statuses, forced_off=forced_off))
+    return net.cached(
+        dispatch_key(net, statuses, forced_off),
+        lambda: solve_power(net, statuses, forced_off=forced_off),
+    )
 
 
 def _run_series(
@@ -542,11 +544,11 @@ def _baseline_water(
 
     if not _on_grid(horizon):
         return run()
-    key = ("baseline_water", hydraulic_params or HydraulicParams())
-    kept = net._memo.get(key)
-    if kept is None or kept[1][-1] < horizon:
-        kept = net._memo[key] = run()
-    ids, times, rows = kept
+    ids, times, rows = net.cached(
+        ("baseline_water", hydraulic_params or HydraulicParams()),
+        run,
+        usable=lambda kept: kept[1][-1] >= horizon,
+    )
     n = round(horizon / WATER_SAMPLE_STEP) + 1
     return ids, times[:n], rows[:n]
 

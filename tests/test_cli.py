@@ -134,6 +134,19 @@ class TestBatch:
                 tmp_path / "parallel" / name
             )
 
+    def test_parallel_chunks_of_several_scenarios_match_serial(self, tmp_path):
+        # 9 scenarios on 2 jobs go out in chunks of 2, each chunk on one network copy
+        args = (
+            "batch", "--hazard", "random", "--count", "2", "--seed", "42",
+            "--scenarios", "9", "--strategy", "max_flow",
+        )
+        run_cli(*args, "--jobs", "1", "--out", str(tmp_path / "serial"))
+        run_cli(*args, "--jobs", "2", "--out", str(tmp_path / "parallel"))
+        for name in ("batch_summary.csv", "stats.json"):
+            assert read_bytes(tmp_path / "serial" / name) == read_bytes(
+                tmp_path / "parallel" / name
+            )
+
     def test_unloadable_network_fails_once_without_files(self, tmp_path, caplog):
         out = tmp_path / "out"
         code = run_cli(

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from lifelinesim.hazard import ComponentFailure, DisasterScenario, HazardEvent
+from lifelinesim.powerflow import solve_power
 from lifelinesim.recovery import build_planning_context, default_crews
 from lifelinesim.simulation import (
     EventTable,
     _baseline_water,
+    _dispatch,
     _run_series,
     build_event_table,
     run_scenario,
@@ -29,10 +31,15 @@ def _scenario(failures=FAILURES, occurrence=3600.0):
     return DisasterScenario(event=event, failures=rows, seed=0, intensity="moderate")
 
 
+class _KeepsNothing(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
 def _unmemoized():
     """A fresh testbed that solves everything it is asked, every time."""
     net = build_simple_testbed()
-    net.cached = lambda key, compute: compute()
+    net._memo = _KeepsNothing()
     return net
 
 
@@ -96,3 +103,11 @@ def test_mutating_a_context_leaves_later_runs_alone():
         run_scenario(net, scenario, "max_flow"),
         run_scenario(_unmemoized(), scenario, "max_flow"),
     )
+
+
+def test_dispatch_memo_keeps_forced_off_sources_apart():
+    net = build_simple_testbed()
+    assert _dispatch(net, {}) == solve_power(build_simple_testbed(), {})
+    forced = _dispatch(net, {}, {"PG1"})
+    assert forced.generation["PG1"] == 0.0
+    assert forced == solve_power(build_simple_testbed(), {}, forced_off={"PG1"})
