@@ -7,6 +7,11 @@ explicit Euler between steps. Failed pipes keep conveying but lose water
 through a midpoint orifice sized to half the pipe cross-section; failed
 or unpowered pumps close.
 
+Each topology (in-service flags, forced-off pumps and closed tanks) is
+compiled once per network into the arrays and Jacobian pattern its
+Newton solves read, and kept in the network's memo for every later
+simulator that meets it.
+
 Units are SI throughout: flows m3/s, heads/pressures m of water column.
 """
 
@@ -17,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import graphs
 from .network import IN_SERVICE, IntegratedNetwork, WATER
 
 G = 9.81
@@ -96,20 +102,135 @@ class HydraulicState:
     iterations: int
 
 
-class _System:
-    """Arrays for one topology (statuses + tank closures fixed)."""
+def _elevation(net: IntegratedNetwork, node_id: str) -> float:
+    node = net.component(node_id)
+    if node.kind == "demand_node":
+        return float(node.attrs.get("elevation", 0.0))
+    if node.kind == "tank":
+        return float(node.attrs["elevation"])
+    return 0.0  # reservoir pipe stub at datum
 
-    def __init__(self):
-        self.junction_ids: list[str] = []
-        self.junction_z: np.ndarray | None = None
-        self.junction_demand: np.ndarray | None = None  # desired, PDA nodes
-        self.leak_coef: np.ndarray | None = None        # orifice coefficient per junction (0 = none)
-        self.fixed_head: dict[str, float] = {}
-        self.dead_nodes: list[str] = []
+
+def system_key(
+    net: IntegratedNetwork,
+    params: HydraulicParams,
+    component_statuses: dict[str, str],
+    forced_off: set[str],
+    closed_tanks: set[str],
+) -> tuple:
+    """Memo key of a compiled topology: the parameters, the water
+    components' in-service flags, the forced-off set and the closed tanks."""
+    return (
+        "water_system",
+        params,
+        net.service_key(WATER, component_statuses),
+        frozenset(forced_off),
+        frozenset(closed_tanks),
+    )
+
+
+class _System:
+    """One compiled topology: the arrays a Newton solve reads.
+
+    Everything here depends only on what ``system_key`` holds, so one
+    instance is shared through the network memo and never changes after
+    construction. Fixed heads follow the tank levels and are passed to
+    each solve instead.
+    """
+
+    def __init__(self, net: IntegratedNetwork, params: HydraulicParams, in_service, closed_tanks: set[str]):
+        reservoirs = net.components_of(WATER, "reservoir")
+        tanks = [t for t in net.components_of(WATER, "tank") if t.id not in closed_tanks]
+        self.reservoir_heads = [float(r.attrs["head"]) for r in reservoirs]
+        self.open_tanks = [(t.id, float(t.attrs["elevation"])) for t in tanks]
+        self.fixed_ids = [r.id for r in reservoirs] + [t.id for t in tanks]
+
+        junctions: list[tuple[str, float, float, float]] = []  # id, z, desired, leak coef
+        for node in net.components_of(WATER, "demand_node"):
+            junctions.append((node.id, _elevation(net, node.id), float(node.attrs["base_demand"]), 0.0))
+
+        raw_links: list[tuple[str, int, str, str, float, float]] = []
+        for pipe in net.components_of(WATER, "pipe"):
+            a, b = pipe.ends
+            r = hazen_williams_r(pipe.attrs["length"], pipe.attrs["diameter"], pipe.attrs["roughness"])
+            if in_service(pipe.id):
+                if a not in closed_tanks and b not in closed_tanks:
+                    raw_links.append((pipe.id, _PIPE, a, b, r, 0.0))
+            else:
+                # broken pipe: two half-length segments around an orifice node
+                leak_id = pipe.id + "::leak"
+                area = 0.5 * math.pi * pipe.attrs["diameter"] ** 2 / 4.0
+                coef = params.leak_cd * area * math.sqrt(2.0 * G)
+                z = (_elevation(net, a) + _elevation(net, b)) / 2.0
+                junctions.append((leak_id, z, 0.0, coef))
+                if a not in closed_tanks:
+                    raw_links.append((pipe.id, _PIPE, a, leak_id, r / 2.0, 0.0))
+                if b not in closed_tanks:
+                    raw_links.append((pipe.id + "::b", _PIPE, leak_id, b, r / 2.0, 0.0))
+        for pump in net.components_of(WATER, "pump"):
+            if in_service(pump.id):
+                a, b = pump.ends
+                if a not in closed_tanks and b not in closed_tanks:
+                    raw_links.append((pump.id, _PUMP, a, b, float(pump.attrs["head_gain"]), float(pump.attrs["qmax"])))
+
+        # junction groups with no in-service fixed-head source stay dead:
+        # zero flow, zero served demand, pressure pinned at elevation.
+        junction_ids = [j[0] for j in junctions]
+        edges = [(l[2], l[3]) for l in raw_links]
+        fixed = set(self.fixed_ids)
+        live = set(fixed)
+        for comp in graphs.connected_components(junction_ids + self.fixed_ids, edges):
+            if comp & fixed:
+                live |= comp
+        self.dead_nodes = sorted(set(junction_ids) - live)
+        dead = set(self.dead_nodes)
+
+        kept = [j for j in junctions if j[0] not in dead]
+        self.junction_ids = [j[0] for j in kept]
+        self.junction_z = np.array([j[1] for j in kept], dtype=float)
+        self.junction_demand = np.array([j[2] for j in kept], dtype=float)
+        self.leak_coef = np.array([j[3] for j in kept], dtype=float)
+        self.leak = self.leak_coef > 0
+        links = [l for l in raw_links if l[2] not in dead and l[3] not in dead]
+        self.link_ids = [l[0] for l in links]
+        self._link_arrays(links, {t.id for t in tanks})
+
+    def _link_arrays(self, links, tank_ids: set[str]) -> None:
+        nl, nj = len(links), len(self.junction_ids)
+        # link ends index the node vector: junctions, then fixed heads
+        node = {nid: k for k, nid in enumerate(self.junction_ids + self.fixed_ids)}
+        self.from_node = np.array([node[l[2]] for l in links], dtype=int)
+        self.to_node = np.array([node[l[3]] for l in links], dtype=int)
+        self.is_pipe = np.array([l[1] == _PIPE for l in links], dtype=bool)
+        self.c1 = np.array([l[4] for l in links], dtype=float)
+        self.c2 = np.array([l[5] or 1.0 for l in links], dtype=float)
+        self.tank_links: list[tuple[int, str, float]] = []  # link, tank, +1 into / -1 out of it
+        # the Jacobian's constant part: +-1 link-junction incidence in
+        # the off-diagonal blocks; each Newton step writes the diagonal
+        self.incidence = np.zeros((nl + nj, nl + nj))
+        for k, (_, _, a, b, _, _) in enumerate(links):
+            if b in tank_ids:
+                self.tank_links.append((k, b, 1.0))
+            if a in tank_ids:
+                self.tank_links.append((k, a, -1.0))
+            if node[a] < nj:
+                self.incidence[k, nl + node[a]] += 1.0
+                self.incidence[nl + node[a], k] -= 1.0
+            if node[b] < nj:
+                self.incidence[k, nl + node[b]] -= 1.0
+                self.incidence[nl + node[b], k] += 1.0
+
+    def fixed_heads(self, tank_level: dict[str, float]) -> list[float]:
+        """Heads of the fixed-head nodes, in ``fixed_ids`` order."""
+        return self.reservoir_heads + [z + tank_level[tid] for tid, z in self.open_tanks]
 
 
 class WaterSimulator:
-    """Stateful stepper holding tank levels and a warm-started solution."""
+    """Stateful stepper holding tank levels and a warm-started solution.
+
+    Each topology it meets is compiled once per network: the compiled
+    ``_System`` is kept in the network memo under ``system_key``.
+    """
 
     def __init__(
         self,
@@ -125,6 +246,10 @@ class WaterSimulator:
             t.id: float(t.attrs["init_level"]) for t in net.components_of(WATER, "tank")
         }
         self._tanks = {t.id: t for t in net.components_of(WATER, "tank")}
+        self._demand_nodes = [
+            (n.id, _elevation(net, n.id), n.attrs["base_demand"])
+            for n in net.components_of(WATER, "demand_node")
+        ]
         self._warm_h: dict[str, float] = {}
         self._warm_q: dict[str, float] = {}
         self._last_state: HydraulicState | None = None
@@ -138,189 +263,97 @@ class WaterSimulator:
             self.forced_off = set(forced_off)
         self._last_state = None
 
-    def _status(self, comp_id: str) -> str:
-        comp = self.net.component(comp_id)
-        return self.statuses.get(comp_id, comp.status)
-
     def _in_service(self, comp_id: str) -> bool:
-        return self._status(comp_id) in IN_SERVICE and comp_id not in self.forced_off
+        status = self.statuses.get(comp_id, self.net.component(comp_id).status)
+        return status in IN_SERVICE and comp_id not in self.forced_off
 
-    # -- compilation --------------------------------------------------------
-
-    def _elevation(self, node_id: str) -> float:
-        node = self.net.component(node_id)
-        if node.kind == "demand_node":
-            return float(node.attrs.get("elevation", 0.0))
-        if node.kind == "tank":
-            return float(node.attrs["elevation"])
-        return 0.0  # reservoir pipe stub at datum
-
-    def _compile(self, closed_tanks: set[str]) -> _System:
-        sys = _System()
-        net, prm = self.net, self.params
-
-        for res in net.components_of(WATER, "reservoir"):
-            sys.fixed_head[res.id] = float(res.attrs["head"])
-        for tid, tank in self._tanks.items():
-            if tid not in closed_tanks:
-                sys.fixed_head[tid] = float(tank.attrs["elevation"]) + self.tank_level[tid]
-
-        junctions: list[tuple[str, float, float, float]] = []  # id, z, desired, leak coef
-        for node in net.components_of(WATER, "demand_node"):
-            junctions.append((node.id, self._elevation(node.id), float(node.attrs["base_demand"]), 0.0))
-
-        raw_links: list[tuple[str, int, str, str, float, float]] = []
-        for pipe in net.components_of(WATER, "pipe"):
-            a, b = pipe.ends
-            r = hazen_williams_r(pipe.attrs["length"], pipe.attrs["diameter"], pipe.attrs["roughness"])
-            if self._in_service(pipe.id):
-                if a not in closed_tanks and b not in closed_tanks:
-                    raw_links.append((pipe.id, _PIPE, a, b, r, 0.0))
-            else:
-                # broken pipe: two half-length segments around an orifice node
-                leak_id = pipe.id + "::leak"
-                area = 0.5 * math.pi * pipe.attrs["diameter"] ** 2 / 4.0
-                coef = prm.leak_cd * area * math.sqrt(2.0 * G)
-                z = (self._elevation(a) + self._elevation(b)) / 2.0
-                junctions.append((leak_id, z, 0.0, coef))
-                if a not in closed_tanks:
-                    raw_links.append((pipe.id, _PIPE, a, leak_id, r / 2.0, 0.0))
-                if b not in closed_tanks:
-                    raw_links.append((pipe.id + "::b", _PIPE, leak_id, b, r / 2.0, 0.0))
-        for pump in net.components_of(WATER, "pump"):
-            if self._in_service(pump.id):
-                a, b = pump.ends
-                if a not in closed_tanks and b not in closed_tanks:
-                    raw_links.append((pump.id, _PUMP, a, b, float(pump.attrs["head_gain"]), float(pump.attrs["qmax"])))
-
-        # junction groups with no in-service fixed-head source stay dead:
-        # zero flow, zero served demand, pressure pinned at elevation.
-        junction_ids = [j[0] for j in junctions]
-        all_nodes = junction_ids + list(sys.fixed_head)
-        edges = [(l[2], l[3]) for l in raw_links]
-        live: set[str] = set(sys.fixed_head)
-        from . import graphs
-
-        for comp in graphs.connected_components(all_nodes, edges):
-            if comp & set(sys.fixed_head):
-                live |= comp
-        sys.dead_nodes = sorted(set(junction_ids) - live)
-        dead = set(sys.dead_nodes)
-
-        kept = [j for j in junctions if j[0] not in dead]
-        sys.junction_ids = [j[0] for j in kept]
-        sys.junction_z = np.array([j[1] for j in kept], dtype=float)
-        sys.junction_demand = np.array([j[2] for j in kept], dtype=float)
-        sys.leak_coef = np.array([j[3] for j in kept], dtype=float)
-        self._raw_links = [l for l in raw_links if l[2] not in dead and l[3] not in dead]
-        return sys
+    def _system(self, closed_tanks: set[str]) -> _System:
+        return self.net.cached(
+            system_key(self.net, self.params, self.statuses, self.forced_off, closed_tanks),
+            lambda: _System(self.net, self.params, self._in_service, closed_tanks),
+        )
 
     # -- residual / jacobian -------------------------------------------------
 
-    def _link_arrays(self, sys: _System):
-        nl = len(self._raw_links)
-        jidx = {jid: k for k, jid in enumerate(sys.junction_ids)}
-        from_j = np.full(nl, -1, dtype=int)
-        to_j = np.full(nl, -1, dtype=int)
-        fixed_from = np.zeros(nl)
-        fixed_to = np.zeros(nl)
-        typ = np.zeros(nl, dtype=int)
-        c1 = np.zeros(nl)
-        c2 = np.ones(nl)
-        for k, (rid, t, a, b, x1, x2) in enumerate(self._raw_links):
-            typ[k] = t
-            c1[k] = x1
-            c2[k] = x2 if x2 else 1.0
-            if a in jidx:
-                from_j[k] = jidx[a]
-            else:
-                fixed_from[k] = sys.fixed_head[a]
-            if b in jidx:
-                to_j[k] = jidx[b]
-            else:
-                fixed_to[k] = sys.fixed_head[b]
-        return from_j, to_j, fixed_from, fixed_to, typ, c1, c2
-
-    def _headloss(self, q, typ, c1, c2):
-        prm = self.params
+    def _headloss(self, q, sys: _System):
+        prm, c1, c2 = self.params, sys.c1, sys.c2
         absq = np.abs(q)
-        pipe_small = absq < prm.q_smooth
         hl_pipe = np.where(
-            pipe_small,
+            absq < prm.q_smooth,
             c1 * q * prm.q_smooth ** (_HW_EXP - 1.0),
             c1 * np.sign(q) * absq ** _HW_EXP,
         )
+        # pump: E = -gain so that F1 = (ha - hb) - E holds for both types
+        gain = c1 * (1.0 - np.sign(q) * (absq / c2) ** 2)
+        return np.where(sys.is_pipe, hl_pipe, -gain)
+
+    def _headloss_slope(self, q, sys: _System):
+        prm, c1, c2 = self.params, sys.c1, sys.c2
+        absq = np.abs(q)
         dhl_pipe = np.where(
-            pipe_small,
+            absq < prm.q_smooth,
             c1 * prm.q_smooth ** (_HW_EXP - 1.0),
             _HW_EXP * c1 * absq ** (_HW_EXP - 1.0),
         )
-        # pump: E = -gain so that F1 = (ha - hb) - E holds for both types
-        gain = c1 * (1.0 - np.sign(q) * (absq / c2) ** 2)
         dgain = -2.0 * c1 * absq / c2 ** 2
-        hl = np.where(typ == _PIPE, hl_pipe, -gain)
-        dhl = np.where(typ == _PIPE, dhl_pipe, -dgain)
-        return hl, np.maximum(dhl, prm.q_reg)
+        return np.maximum(np.where(sys.is_pipe, dhl_pipe, -dgain), prm.q_reg)
 
     def _demand(self, h, sys: _System):
         prm = self.params
         p = h - sys.junction_z
         d = pda_demand(p, sys.junction_demand, prm.p0, prm.pf, prm.e)
-        dd = _pda_slope(p, sys.junction_demand, prm.p0, prm.pf, prm.e)
-        leak = sys.leak_coef > 0
-        if leak.any():
+        if sys.leak.any():
             pp = np.maximum(p, 0.0)
-            small = pp < prm.p_smooth
-            ql = np.where(small, sys.leak_coef * pp / math.sqrt(prm.p_smooth), sys.leak_coef * np.sqrt(pp))
+            ql = np.where(
+                pp < prm.p_smooth, sys.leak_coef * pp / math.sqrt(prm.p_smooth), sys.leak_coef * np.sqrt(pp)
+            )
+            d = np.where(sys.leak, np.where(p <= 0.0, 0.0, ql), d)
+        return d
+
+    def _demand_slope(self, h, sys: _System):
+        prm = self.params
+        p = h - sys.junction_z
+        dd = _pda_slope(p, sys.junction_demand, prm.p0, prm.pf, prm.e)
+        if sys.leak.any():
+            pp = np.maximum(p, 0.0)
             dql = np.where(
-                small,
+                pp < prm.p_smooth,
                 sys.leak_coef / math.sqrt(prm.p_smooth),
                 sys.leak_coef / (2.0 * np.sqrt(np.maximum(pp, prm.p_smooth))),
             )
-            zero = p <= 0.0
-            d = np.where(leak, np.where(zero, 0.0, ql), d)
-            dd = np.where(leak, np.where(zero, 0.0, dql), dd)
-        return d, dd
+            dd = np.where(sys.leak, np.where(p <= 0.0, 0.0, dql), dd)
+        return dd
 
-    def _solve_system(self, sys: _System):
+    def _solve_system(self, sys: _System, fixed: list[float]):
         prm = self.params
-        nj, nl = len(sys.junction_ids), len(self._raw_links)
+        nj, nl = len(sys.junction_ids), len(sys.link_ids)
         if nj == 0 and nl == 0:
             return np.zeros(0), np.zeros(0), 0.0, 0
-        from_j, to_j, fixed_from, fixed_to, typ, c1, c2 = self._link_arrays(sys)
+        fixed_h = np.array(fixed, dtype=float)
 
-        default_h = max(sys.fixed_head.values(), default=0.0) + 5.0
+        default_h = max(fixed, default=0.0) + 5.0
         h = np.array([self._warm_h.get(jid, default_h + z) for jid, z in zip(sys.junction_ids, sys.junction_z)])
-        q = np.array([self._warm_q.get(rid, 0.01) for rid, *_ in self._raw_links])
+        q = np.array([self._warm_q.get(rid, 0.01) for rid in sys.link_ids])
 
         def residual(qv, hv):
-            ha = np.where(from_j >= 0, hv[np.maximum(from_j, 0)], fixed_from)
-            hb = np.where(to_j >= 0, hv[np.maximum(to_j, 0)], fixed_to)
-            hl, dhl = self._headloss(qv, typ, c1, c2)
-            f1 = ha - hb - hl
-            d, dd = self._demand(hv, sys)
-            inflow = np.zeros(nj)
-            np.add.at(inflow, to_j[to_j >= 0], qv[to_j >= 0])
-            np.subtract.at(inflow, from_j[from_j >= 0], qv[from_j >= 0])
-            f2 = inflow - d
-            return np.concatenate([f1, f2]), dhl, dd
+            heads = np.concatenate([hv, fixed_h])
+            f1 = heads[sys.from_node] - heads[sys.to_node] - self._headloss(qv, sys)
+            # np.add.at keeps the link order of each node's sum
+            inflow = np.zeros(len(heads))
+            np.add.at(inflow, sys.to_node, qv)
+            np.subtract.at(inflow, sys.from_node, qv)
+            return np.concatenate([f1, inflow[:nj] - self._demand(hv, sys)])
 
-        F, dhl, dd = residual(q, h)
+        F = residual(q, h)
         norm = float(np.max(np.abs(F))) if F.size else 0.0
         iters = 0
         for iters in range(1, prm.max_iterations + 1):
             if norm < prm.tol:
                 break
-            J = np.zeros((nl + nj, nl + nj))
-            J[:nl, :nl] = np.diag(-dhl)
-            for k in range(nl):
-                if from_j[k] >= 0:
-                    J[k, nl + from_j[k]] += 1.0
-                    J[nl + from_j[k], k] -= 1.0
-                if to_j[k] >= 0:
-                    J[k, nl + to_j[k]] -= 1.0
-                    J[nl + to_j[k], k] += 1.0
-            J[nl:, nl:] -= np.diag(dd + 1e-12)
+            J = sys.incidence.copy()
+            J.flat[:: nl + nj + 1] = np.concatenate(
+                [-self._headloss_slope(q, sys), -(self._demand_slope(h, sys) + 1e-12)]
+            )
             try:
                 step = np.linalg.solve(J, -F)
             except np.linalg.LinAlgError:
@@ -328,15 +361,15 @@ class WaterSimulator:
             lam, best = 1.0, None
             for _ in range(16):
                 qn, hn = q + lam * step[:nl], h + lam * step[nl:]
-                Fn, dhln, ddn = residual(qn, hn)
+                Fn = residual(qn, hn)
                 nn = float(np.max(np.abs(Fn)))
                 if nn < norm * (1.0 - 1e-4 * lam) or nn < prm.tol:
-                    best = (qn, hn, Fn, dhln, ddn, nn)
+                    best = (qn, hn, Fn, nn)
                     break
-                if best is None or nn < best[5]:
-                    best = (qn, hn, Fn, dhln, ddn, nn)
+                if best is None or nn < best[3]:
+                    best = (qn, hn, Fn, nn)
                 lam /= 2.0
-            q, h, F, dhl, dd, norm = best
+            q, h, F, norm = best
         else:
             raise HydraulicError(
                 f"no convergence after {prm.max_iterations} iterations; residual {norm:.3e} (tol {prm.tol:.1e})"
@@ -347,19 +380,19 @@ class WaterSimulator:
 
     def solve(self, time: float = 0.0) -> HydraulicState:
         """Converge a steady state at current statuses and tank levels."""
-        prm = self.params
         closed: set[str] = set()
         dry: set[str] = set()
         for _ in range(1 + len(self._tanks)):
-            sys = self._compile(closed)
-            q, h, res_norm, iters = self._solve_system(sys)
+            sys = self._system(closed)
+            fixed = sys.fixed_heads(self.tank_level)
+            q, h, res_norm, iters = self._solve_system(sys, fixed)
             tank_inflow = self._tank_inflows(sys, q)
             toggled = False
             for tid, tank in self._tanks.items():
                 if tid in closed:
                     continue
                 level, a = self.tank_level[tid], tank.attrs
-                inflow = tank_inflow.get(tid, 0.0)
+                inflow = tank_inflow[tid]
                 if level >= a["max_level"] - 1e-12 and inflow > 1e-9:
                     closed.add(tid)
                     toggled = True
@@ -370,20 +403,17 @@ class WaterSimulator:
             if not toggled:
                 break
 
-        state = self._build_state(sys, q, h, time, res_norm, iters, closed, dry)
+        state = self._build_state(sys, fixed, q, h, tank_inflow, time, res_norm, iters, dry)
         self._warm_h = dict(zip(sys.junction_ids, h))
-        self._warm_q = {rid: qk for (rid, *_), qk in zip(self._raw_links, q)}
+        self._warm_q = dict(zip(sys.link_ids, q))
         self._last_state = state
         self._solved_levels = dict(self.tank_level)
         return state
 
     def _tank_inflows(self, sys: _System, q) -> dict[str, float]:
         inflow = {tid: 0.0 for tid in self._tanks}
-        for (rid, typ, a, b, *_), qk in zip(self._raw_links, q):
-            if b in inflow:
-                inflow[b] += qk
-            if a in inflow:
-                inflow[a] -= qk
+        for k, tid, sign in sys.tank_links:
+            inflow[tid] += sign * q[k]
         return inflow
 
     def advance(self, dt: float) -> None:
@@ -418,39 +448,50 @@ class WaterSimulator:
                 return False
         return True
 
-    def _build_state(self, sys, q, h, time, res_norm, iters, closed, dry) -> HydraulicState:
-        net, prm = self.net, self.params
-        node_head: dict[str, float] = dict(sys.fixed_head)
+    def is_frozen(self) -> bool:
+        """True when ``advance`` is exactly the identity: stationary, every
+        tank's last inflow exactly zero and every level within its bounds.
+        Then no later solve or step changes anything until the statuses do.
+        """
+        if not self.is_stationary():
+            return False
+        for tid, tank in self._tanks.items():
+            a = tank.attrs
+            if self._last_state.tank_inflow[tid] != 0.0:
+                return False
+            if not a["min_level"] <= self.tank_level[tid] <= a["max_level"]:
+                return False
+        return True
+
+    def _build_state(self, sys, fixed, q, h, tank_inflow, time, res_norm, iters, dry) -> HydraulicState:
+        prm = self.params
+        node_head: dict[str, float] = dict(zip(sys.fixed_ids, fixed))
         node_pressure: dict[str, float] = {}
         actual: dict[str, float] = {}
         desired: dict[str, float] = {}
         leak_out: dict[str, float] = {}
 
         heads = {jid: float(v) for jid, v in zip(sys.junction_ids, h)}
-        for node in net.components_of(WATER, "demand_node"):
-            z = self._elevation(node.id)
-            head = heads.get(node.id, z)  # dead nodes pin to elevation
-            node_head[node.id] = head
-            node_pressure[node.id] = head - z
-            desired[node.id] = float(node.attrs["base_demand"])
-            actual[node.id] = float(
-                pda_demand(head - z, node.attrs["base_demand"], prm.p0, prm.pf, prm.e)
-            )
-        d_all, _ = self._demand(h, sys) if len(h) else (np.zeros(0), None)
-        for jid, dv, coef in zip(sys.junction_ids, d_all, sys.leak_coef):
-            if coef > 0:
-                leak_out[jid.split("::")[0]] = float(dv)
-                node_head[jid] = heads[jid]
+        for nid, z, base_demand in self._demand_nodes:
+            head = heads.get(nid, z)  # dead nodes pin to elevation
+            node_head[nid] = head
+            node_pressure[nid] = head - z
+            desired[nid] = float(base_demand)
+            # one scalar call per node: numpy's array power rounds
+            # differently from the scalar path in the last bit
+            actual[nid] = float(pda_demand(head - z, base_demand, prm.p0, prm.pf, prm.e))
+        if sys.leak.any():
+            for jid, dv, leak in zip(sys.junction_ids, self._demand(h, sys), sys.leak):
+                if leak:
+                    leak_out[jid.split("::")[0]] = float(dv)
+                    node_head[jid] = heads[jid]
 
-        link_flow: dict[str, float] = {c.id: 0.0 for c in net.edges_of(WATER)}
-        for (rid, *_), qk in zip(self._raw_links, q):
+        link_flow: dict[str, float] = {c.id: 0.0 for c in self.net.edges_of(WATER)}
+        for rid, qk in zip(sys.link_ids, q):
             if rid.endswith("::b"):
                 continue  # report the inlet half as the pipe's through-flow
             link_flow[rid.split("::")[0]] = float(qk)
 
-        tank_inflow = self._tank_inflows(sys, q)
-        for tid in self._tanks:
-            tank_inflow.setdefault(tid, 0.0)
         return HydraulicState(
             time=time,
             node_head=node_head,

@@ -159,6 +159,12 @@ class IntegratedNetwork:
         }
         self.zone_priority: dict[str, int] = dict(zone_priority or {})
         self._by_id = {c.id: c for c in self.components}
+        # (network, kind) -> components in declaration order; kind None
+        # lists the whole network
+        self._index: dict[tuple[str, str | None], list[Component]] = {}
+        for c in self.components:
+            for key in ((c.network, None), (c.network, c.kind)):
+                self._index.setdefault(key, []).append(c)
         # solver results that depend only on this network (plus the
         # statuses or parameters in their key), filled on first use
         self._memo: dict = {}
@@ -204,27 +210,21 @@ class IntegratedNetwork:
         return component_id in self._by_id
 
     def components_of(self, network: str, kind: str | None = None) -> list[Component]:
-        return [
-            c
-            for c in self.components
-            if c.network == network and (kind is None or c.kind == kind)
-        ]
+        return list(self._index.get((network, kind), ()))
 
     def nodes_of(self, network: str) -> list[Component]:
         kinds = NODE_KINDS[network]
-        return [c for c in self.components if c.network == network and c.kind in kinds]
+        return [c for c in self._index.get((network, None), ()) if c.kind in kinds]
 
     def edges_of(self, network: str) -> list[Component]:
         kinds = EDGE_KINDS[network]
-        return [c for c in self.components if c.network == network and c.kind in kinds]
+        return [c for c in self._index.get((network, None), ()) if c.kind in kinds]
 
     def attached_of(self, kind: str | None = None) -> list[Component]:
         return [
             c
-            for c in self.components
-            if c.network == POWER
-            and c.kind in ATTACHED_KINDS
-            and (kind is None or c.kind == kind)
+            for c in self._index.get((POWER, None), ())
+            if c.kind in ATTACHED_KINDS and (kind is None or c.kind == kind)
         ]
 
     def consumers(self, network: str) -> list[Component]:

@@ -170,18 +170,11 @@ def _peak_flows(
 # ranking strategies
 
 
-def betweenness_centrality(
-    nodes: list[str], edges: dict[str, tuple[str, str]], directed: bool = False
-) -> dict[str, float]:
-    """Shortest-path edge betweenness, counting ordered node pairs."""
-    return graphs.edge_betweenness(nodes, edges, directed=directed)
-
-
 def _network_betweenness(net: IntegratedNetwork, network: str) -> dict[str, float]:
     def compute() -> dict[str, float]:
         nodes = [c.id for c in net.nodes_of(network)]
         edges = {c.id: c.ends for c in net.edges_of(network)}
-        return betweenness_centrality(nodes, edges, directed=(network == TRAFFIC))
+        return graphs.edge_betweenness(nodes, edges, directed=(network == TRAFFIC))
 
     return net.cached(("betweenness", network), compute)
 

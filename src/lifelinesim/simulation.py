@@ -8,7 +8,8 @@ node cannot be reached until a road repair opens the way.
 ``simulate`` replays that ledger: between consecutive event timestamps
 the power dispatch is solved once and held constant, hydraulics are
 sampled every minute of simulation time (tank levels integrate through
-mid-minute events), and outages propagate across networks — a
+mid-minute events; once nothing can change until the next event, the
+remaining minutes repeat the last sample unstepped), and outages propagate across networks — a
 de-energized motor forces its pump out of service, a dry source forces
 its dependent generator off.
 """
@@ -494,8 +495,17 @@ def _run_series(
             solve_water(now, a, b)
             if _on_grid(now):
                 water_times.append(now)
-                water_rows.append(list(water_row))
-            next_grid = (math.floor(now / WATER_SAMPLE_STEP) + 1) * WATER_SAMPLE_STEP
+                water_rows.append(water_row)
+            k = math.floor(now / WATER_SAMPLE_STEP) + 1
+            if sim.is_frozen():
+                # every later step of the interval would keep this row and
+                # these levels: emit its remaining grid samples directly
+                while k * WATER_SAMPLE_STEP < b - _TIME_TOL:
+                    water_times.append(k * WATER_SAMPLE_STEP)
+                    water_rows.append(water_row)
+                    k += 1
+                break
+            next_grid = k * WATER_SAMPLE_STEP
             nxt = min(b, next_grid)
             sim.advance(nxt - now)
             now = nxt
@@ -514,7 +524,7 @@ def _run_series(
     dirty = True
     solve_water(horizon, horizon, horizon)
     water_times.append(horizon)
-    water_rows.append(list(water_row))
+    water_rows.append(water_row)
 
     return (
         water_ids,
@@ -591,7 +601,7 @@ def simulate(
 
     water_ids, wt, ws, power_ids, pt, ps = _run_series(net, table, horizon, hydraulic_params)
     base_ids, bwt, bws = _baseline_water(net, horizon, hydraulic_params)
-    if base_ids != water_ids or len(bwt) != len(wt):
+    if base_ids != water_ids or not np.array_equal(bwt, wt):
         raise SimulationError("baseline and disrupted sample grids diverged")
 
     base_power = _dispatch(net, {})

@@ -6,6 +6,7 @@ from scipy.optimize import fsolve
 
 from lifelinesim.hydraulics import (
     HydraulicParams,
+    WaterSimulator,
     hazen_williams_r,
     pda_demand,
     solve_hydraulics,
@@ -164,6 +165,24 @@ class TestTankDynamics:
         levels = [s.tank_level["WT"] for s in states]
         assert all(b <= a + 1e-12 for a, b in zip(levels, levels[1:]))
 
+    def test_frozen_only_when_advance_is_the_identity(self, tank_net):
+        sim = WaterSimulator(tank_net)
+        state = sim.solve(0.0)
+        assert state.tank_inflow["WT"] < -1e-9 and not sim.is_frozen()
+        # an inflow below the stationary threshold still moves the level
+        state.tank_inflow["WT"] = -1e-10
+        assert sim.is_stationary() and not sim.is_frozen()
+        state.tank_inflow["WT"] = 0.0
+        assert sim.is_frozen()
+        sim.advance(60.0)
+        assert sim.tank_level == {"WT": 1.0} and sim.is_frozen()
+        # a level above its bound is clipped by the next step
+        sim.tank_level["WT"] = 3.0
+        sim.solve(0.0).tank_inflow["WT"] = 0.0
+        assert sim.is_stationary() and not sim.is_frozen()
+        sim.advance(60.0)
+        assert sim.tank_level == {"WT": 2.0}
+
 
 class TestFailuresAndLeaks:
     def test_leaking_pipe_discharges(self, triangle_net):
@@ -216,6 +235,19 @@ class TestTestbedBaseline:
         for cid, served in last.actual_demand.items():
             assert served == pytest.approx(last.desired_demand[cid], rel=1e-6), cid
         assert last.residual < 1e-6
+
+    def test_served_demand_is_the_scalar_closed_form(self, net):
+        # ten minutes after the pump fails the draining tank leaves every
+        # consumer in the partial band; served demand is the closed form
+        # evaluated per node on scalars, bit for bit, because numpy's
+        # array power can round differently in the last bit
+        prm = HydraulicParams()
+        state = solve_hydraulics(net, {"WPU1": "failed"}, 600.0, 600.0)[-1]
+        partial = [n for n, v in state.actual_demand.items() if 0.0 < v < state.desired_demand[n]]
+        assert len(partial) >= 2
+        for nid, served in state.actual_demand.items():
+            want = pda_demand(state.node_pressure[nid], state.desired_demand[nid], prm.p0, prm.pf, prm.e)
+            assert served == float(want), nid
 
     def test_params_override(self, triangle_net):
         # with pf lowered to 10 m both junctions sit above the full-service

@@ -1,9 +1,12 @@
-"""Per-network memo: runs on a reused network equal runs without a memo."""
+"""Work done once instead of every time gives the same runs: the
+per-network memo (runs on a reused network equal runs without a memo)
+and the jump over frozen water minutes."""
 
 import numpy as np
 import pytest
 
 from lifelinesim.hazard import ComponentFailure, DisasterScenario, HazardEvent
+from lifelinesim.hydraulics import WaterSimulator
 from lifelinesim.powerflow import solve_power
 from lifelinesim.recovery import build_planning_context, default_crews
 from lifelinesim.simulation import (
@@ -111,3 +114,34 @@ def test_dispatch_memo_keeps_forced_off_sources_apart():
     forced = _dispatch(net, {}, {"PG1"})
     assert forced.generation["PG1"] == 0.0
     assert forced == solve_power(build_simple_testbed(), {}, forced_off={"PG1"})
+
+
+def test_compiled_water_systems_are_shared():
+    net = build_simple_testbed()
+    run_scenario(net, _scenario(), "max_flow")
+    systems = {k: v for k, v in net._memo.items() if k[0] == "water_system"}
+    assert systems
+    # a second run meets only topologies it has already compiled
+    run_scenario(net, _scenario(), "zone")
+    assert all(net._memo[k] is v for k, v in systems.items())
+
+
+@pytest.mark.parametrize(
+    "failures, strategy",
+    [(FAILURES, "max_flow"), ((("WPU1", "full"),), "max_flow"), (FAILURES[:3], "mpc")],
+    ids=["failures", "tank-drain", "mpc"],
+)
+def test_jumping_frozen_minutes_matches_stepping_them(monkeypatch, failures, strategy):
+    scenario = _scenario(failures)
+    is_frozen = WaterSimulator.is_frozen
+    seen = []
+
+    def counted(sim):
+        seen.append(is_frozen(sim))
+        return seen[-1]
+
+    monkeypatch.setattr(WaterSimulator, "is_frozen", counted)
+    jumped = run_scenario(build_simple_testbed(), scenario, strategy)
+    assert any(seen)
+    monkeypatch.setattr(WaterSimulator, "is_frozen", lambda sim: False)
+    _assert_same_result(run_scenario(build_simple_testbed(), scenario, strategy), jumped)

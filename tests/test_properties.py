@@ -1,0 +1,50 @@
+"""Invariants of whole runs over sampled scenarios and every heuristic."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lifelinesim.hazard import INTENSITIES, HazardEvent, sample_scenario
+from lifelinesim.metrics import ecs_curve, pcs_curve
+from lifelinesim.network import POWER, WATER
+from lifelinesim.recovery import STRATEGIES
+from lifelinesim.simulation import run_scenario
+from lifelinesim.testbed import build_simple_testbed
+
+# one network for every example, as a batch shares it
+NET = build_simple_testbed()
+
+scenarios = st.builds(
+    lambda seed, count, intensity, occurrence: sample_scenario(
+        NET,
+        HazardEvent(kind="random", intensity=intensity, count=count, occurrence_time=occurrence),
+        seed=seed,
+    ),
+    seed=st.integers(0, 2**16),
+    count=st.integers(1, 8),
+    intensity=st.sampled_from(INTENSITIES + ("random",)),
+    occurrence=st.integers(0, 7200).map(float),
+)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(scenario=scenarios)
+def test_runs_keep_their_invariants(scenario):
+    for strategy in STRATEGIES:
+        result = run_scenario(NET, scenario, strategy)
+        assert result.event_table.validate() == [], strategy
+        for network in (WATER, POWER):
+            series = result.series(network)
+            for curve in (pcs_curve(series), ecs_curve(series)):
+                assert np.all((curve >= 0.0) & (curve <= 1.0)), (strategy, network)
+            for measure in ("pcs", "ecs"):
+                assert 0.0 <= result.eoh(network, measure) <= result.horizon / 3600.0
+        end = result.event_table.last_repair_end()
+        if end is None:
+            continue
+        # once every repair has ended, dispatch is back on its baseline at
+        # once; water is by the horizon, a day later (tanks refill first)
+        power = result.power
+        after = power.times >= end
+        np.testing.assert_array_equal(power.supplied[after], power.baseline[after])
+        np.testing.assert_array_equal(result.water.supplied[-1], result.water.baseline[-1])

@@ -20,7 +20,6 @@ from lifelinesim.recovery import (
     RecoveryError,
     REPAIR_DURATIONS,
     STRATEGIES,
-    betweenness_centrality,
     build_planning_context,
     default_crews,
     mpc_sequence,
@@ -93,10 +92,13 @@ class TestDurationsAndCrews:
         assert all(c.location == "Z1" for c in crews)
 
 
-class TestBetweennessWrapper:
-    def test_path_graph(self):
-        scores = betweenness_centrality(["a", "b", "c"], {"e1": ("a", "b"), "e2": ("b", "c")})
-        assert scores == {"e1": 2.0, "e2": 2.0}
+class TestNetworkBetweenness:
+    def test_scores_are_graph_edge_betweenness(self, net):
+        for network in ("water", "power", "traffic"):
+            nodes = [c.id for c in net.nodes_of(network)]
+            edges = {c.id: c.ends for c in net.edges_of(network)}
+            want = graphs.edge_betweenness(nodes, edges, directed=(network == "traffic"))
+            assert recovery._network_betweenness(net, network) == want
 
 
 @pytest.fixture(scope="module")

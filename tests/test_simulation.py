@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lifelinesim import recovery
+from lifelinesim import recovery, simulation
 from lifelinesim.hazard import ComponentFailure, DisasterScenario, HazardEvent
 from lifelinesim.hydraulics import HydraulicParams
 from lifelinesim.metrics import pcs, pcs_curve
@@ -310,6 +310,19 @@ class TestSimulate:
         assert result.water.times[0] == 0.0
         assert result.water.times[-1] == 3600.0
         assert np.all(np.diff(result.water.times) == 60.0)
+
+    def test_baseline_on_another_grid_rejected(self, net, monkeypatch):
+        # a baseline of the right length whose last sample sits elsewhere
+        table = EventTable((EventRow(1800.0, "PL5", ACTION_FAIL),))
+        real = simulation._baseline_water
+
+        def shifted(net, horizon, params):
+            ids, times, rows = real(net, horizon, params)
+            return ids, np.append(times[:-1], times[-1] + 30.0), rows
+
+        monkeypatch.setattr(simulation, "_baseline_water", shifted)
+        with pytest.raises(SimulationError, match="grids diverged"):
+            simulate(net, table, horizon=3600.0)
 
     def test_horizon_before_last_event_rejected(self, net):
         table = EventTable((EventRow(7200.0, "PL5", ACTION_FAIL),))
