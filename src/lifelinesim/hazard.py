@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .network import HAZARD_ELIGIBLE_KINDS, IntegratedNetwork, component_location
+from .network import IntegratedNetwork, component_location
 
 POINT, TRACK, RANDOM = "point", "track", "random"
 EVENT_KINDS = (POINT, TRACK, RANDOM)

@@ -18,7 +18,7 @@ Units are SI throughout: flows m3/s, heads/pressures m of water column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -12,7 +12,7 @@ with Benjamini-Hochberg correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import graphs
 
@@ -84,7 +84,13 @@ _REQUIRED_ATTRS = {
     "road_link": ("free_flow_time", "capacity"),
 }
 
-DEPENDENCY_KINDS = ("motor_drives_pump", "reservoir_feeds_generator", "road_provides_access")
+# coupling kind -> (allowed source kinds, allowed target kinds); a pump
+# stops when its motor is de-energized, a generator when its tank runs dry
+DEPENDENCY_ENDS = {
+    "motor_drives_pump": ({"motor"}, {"pump"}),
+    "reservoir_feeds_generator": ({"tank"}, {"generator"}),
+}
+DEPENDENCY_KINDS = tuple(DEPENDENCY_ENDS)
 
 
 class NetworkError(Exception):
@@ -332,12 +338,8 @@ def validate_network(net: IntegratedNetwork) -> list[Violation]:
         src, tgt = net.component(d.source_id), net.component(d.target_id)
         if src.network == tgt.network:
             out.append(Violation(d.source_id, "dependency-cross", "dependency must cross networks"))
-        expected = {
-            "motor_drives_pump": ({"motor", "bus"}, {"pump"}),
-            "reservoir_feeds_generator": ({"reservoir", "tank"}, {"generator"}),
-            "road_provides_access": ({"zone_node", "road_link"}, None),
-        }[d.kind]
-        if src.kind not in expected[0] or (expected[1] and tgt.kind not in expected[1]):
+        sources, targets = DEPENDENCY_ENDS[d.kind]
+        if src.kind not in sources or tgt.kind not in targets:
             out.append(Violation(d.source_id, "dependency-kind", f"{d.kind} cannot link {src.kind} to {tgt.kind}"))
 
     # OD matrix references zones, no self-demand, non-negative volumes

@@ -40,10 +40,6 @@ class PowerState:
     total_cost: float
     balance_residual: float
 
-    def consumer_fraction(self, consumer_id: str) -> float:
-        demand = self.served[consumer_id] + self.shed[consumer_id]
-        return 1.0 if demand <= 0 else self.served[consumer_id] / demand
-
 
 def _status(net: IntegratedNetwork, statuses: dict[str, str], comp_id: str) -> str:
     return statuses.get(comp_id, net.component(comp_id).status)

@@ -16,21 +16,17 @@ from itertools import permutations
 from typing import Callable
 
 from . import graphs
-from .hydraulics import HydraulicParams, solve_hydraulics
+from .hydraulics import solve_hydraulics
 from .network import (
     NETWORKS,
-    POWER,
     STATUS_FAILED,
     TRAFFIC,
-    WATER,
     IntegratedNetwork,
     access_node,
-    component_location,
-    nearest_zone,
     traffic_adjacency,
 )
 from .powerflow import solve_power
-from .traffic import TrafficAssignmentError, TrafficParams, assign_traffic, link_times_key
+from .traffic import TrafficAssignmentError, assign_traffic, link_times_key
 
 STRATEGIES = ("max_flow", "centrality", "crew_distance", "zone")
 
@@ -89,16 +85,14 @@ def default_crews(net: IntegratedNetwork, start: str | None = None) -> list[Crew
 class PlanningContext:
     peak_flow: dict[str, float]
     crew_start: dict[str, str]
-    zone_priority: dict[str, int]
     travel_time: Callable[[str, str], float] | None = None
 
 
-def _post_failure_travel(net, statuses, params=None) -> Callable[[str, str], float]:
+def _post_failure_travel(net, statuses) -> Callable[[str, str], float]:
     """Congested origin->destination times under current road conditions."""
     try:
         times = net.cached(
-            link_times_key(net, statuses, params),
-            lambda: assign_traffic(net, statuses, params=params).link_time,
+            link_times_key(net, statuses), lambda: assign_traffic(net, statuses).link_time
         )
     except TrafficAssignmentError:
         times = None  # fall back to free-flow weights
@@ -117,42 +111,32 @@ def build_planning_context(
     net: IntegratedNetwork,
     crews: list[Crew] | None = None,
     failed: set[str] | frozenset[str] = frozenset(),
-    hydraulic_params: HydraulicParams | None = None,
-    traffic_params: TrafficParams | None = None,
 ) -> PlanningContext:
-    """Pre-disaster flow solutions plus crew starts and zone priorities.
+    """Pre-disaster flow solutions plus crew starts.
 
     Peak flows come from undisrupted solver runs (an hour of hydraulics
     to catch tank-driven drift, one dispatch, one assignment). They
-    depend only on the network and the parameters, so they are solved
-    once per network and parameter pair and shared by later calls.
-    Travel times are congested times under the post-failure road
-    network, since that is what a crew leaving its garage actually
-    faces; the assignment behind them is solved once per network and
-    set of road-link statuses, and shared with ``build_event_table``.
+    depend only on the network, so they are solved once per network and
+    shared by later calls. Travel times are congested times under the
+    post-failure road network, since that is what a crew leaving its
+    garage actually faces; the assignment behind them is solved once
+    per network and set of road-link statuses, and shared with
+    ``build_event_table``.
     """
     crews = crews if crews is not None else default_crews(net)
-    hydraulic_params = hydraulic_params or HydraulicParams()
-    traffic_params = traffic_params or TrafficParams()
-    peak = net.cached(
-        ("peak_flow", hydraulic_params, traffic_params),
-        lambda: _peak_flows(net, hydraulic_params, traffic_params),
-    )
+    peak = net.cached(("peak_flow",), lambda: _peak_flows(net))
     statuses = {cid: STATUS_FAILED for cid in failed}
     return PlanningContext(
         peak_flow=dict(peak),
         crew_start={c.network: c.location for c in crews},
-        zone_priority=dict(net.zone_priority),
-        travel_time=_post_failure_travel(net, statuses, traffic_params),
+        travel_time=_post_failure_travel(net, statuses),
     )
 
 
-def _peak_flows(
-    net: IntegratedNetwork, hydraulic_params: HydraulicParams, traffic_params: TrafficParams
-) -> dict[str, float]:
+def _peak_flows(net: IntegratedNetwork) -> dict[str, float]:
     peak: dict[str, float] = {}
 
-    states = solve_hydraulics(net, {}, duration=3600.0, step=60.0, params=hydraulic_params)
+    states = solve_hydraulics(net, {}, duration=3600.0, step=60.0)
     for lid in states[0].link_flow:
         peak[lid] = max(abs(s.link_flow[lid]) for s in states)
 
@@ -160,7 +144,7 @@ def _peak_flows(
     for bid, q in power.line_flow.items():
         peak[bid] = abs(q)
 
-    flows = assign_traffic(net, {}, params=traffic_params)
+    flows = assign_traffic(net, {})
     for lid, x in flows.link_flow.items():
         peak[lid] = abs(x)
     return peak
@@ -223,9 +207,7 @@ def rank_components(
             key = lambda c: (context.travel_time(start, access_node(net, c.id)), c.id)
         else:  # zone
             key = lambda c: (
-                -context.zone_priority.get(nearest_zone(net, component_location(c, net)), 1),
-                -_peak(context, c.id),
-                c.id,
+                -net.zone_priority_of(access_node(net, c.id)), -_peak(context, c.id), c.id
             )
         out[network] = [c.id for c in sorted(group, key=key)]
     return out

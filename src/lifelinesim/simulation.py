@@ -10,7 +10,7 @@ the power dispatch is solved once and held constant, hydraulics are
 sampled every minute of simulation time (tank levels integrate through
 mid-minute events; once nothing can change until the next event, the
 remaining minutes repeat the last sample unstepped), and outages propagate across networks — a
-de-energized motor forces its pump out of service, a dry source forces
+de-energized motor forces its pump out of service, a dry tank forces
 its dependent generator off.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import metrics
 from .hazard import DisasterScenario
-from .hydraulics import HydraulicError, HydraulicParams, WaterSimulator
+from .hydraulics import HydraulicError, WaterSimulator
 from .metrics import NetworkSeries
 from .network import (
     POWER,
@@ -50,7 +50,7 @@ from .recovery import (
     rank_components,
     repair_duration,
 )
-from .traffic import TrafficAssignmentError, TrafficParams, assign_traffic, link_times_key
+from .traffic import TrafficAssignmentError, assign_traffic, link_times_key
 from . import graphs
 
 ACTION_FAIL = "fail"
@@ -203,7 +203,6 @@ def build_event_table(
     repair_order: dict[str, list[str]],
     crews: list[Crew] | None = None,
     durations: dict[str, float] | None = None,
-    traffic_params: TrafficParams | None = None,
     allow_partial: bool = False,
 ) -> EventTable:
     """Schedule repairs around road access, one component at a time.
@@ -265,8 +264,8 @@ def build_event_table(
     def refresh_times() -> dict[str, float] | None:
         try:
             return net.cached(
-                link_times_key(net, statuses, traffic_params),
-                lambda: assign_traffic(net, statuses, params=traffic_params).link_time,
+                link_times_key(net, statuses),
+                lambda: assign_traffic(net, statuses).link_time,
             )
         except TrafficAssignmentError as exc:
             raise SimulationError(f"traffic assignment failed during scheduling: {exc}") from exc
@@ -412,12 +411,7 @@ def _dispatch(net: IntegratedNetwork, statuses: dict[str, str], forced_off=froze
     )
 
 
-def _run_series(
-    net: IntegratedNetwork,
-    table: EventTable,
-    horizon: float,
-    hydraulic_params: HydraulicParams | None,
-):
+def _run_series(net: IntegratedNetwork, table: EventTable, horizon: float):
     """One pass of the interleaved loop; returns raw sample arrays."""
     water_ids = [c.id for c in sorted(net.consumers(WATER), key=lambda c: c.id)]
     power_ids = [c.id for c in sorted(net.consumers(POWER), key=lambda c: c.id)]
@@ -435,67 +429,55 @@ def _run_series(
 
     statuses: dict[str, str] = {}
     forced_generators: set[str] = set()
-    dry_sources: set[str] = set()
 
-    sim = WaterSimulator(net, hydraulic_params)
+    sim = WaterSimulator(net)
     water_times: list[float] = []
     water_rows: list[list[float]] = []
     power_times: list[float] = []
     power_rows: list[list[float]] = []
+    water_row: list[float] | None = None
 
-    def apply_rows(t: float) -> None:
-        for row in sorted(by_time.get(t, ()), key=EventRow.sort_key):
+    # each interval [a, b) is sampled up to but excluding b, which belongs
+    # to the next one; the horizon closes the run as a zero-length interval
+    # sampled once, on the grid or off it
+    for a, b in [*zip(boundaries, boundaries[1:]), (horizon, horizon)]:
+        for row in by_time.get(a, ()):
             current = statuses.get(row.component_id, net.component(row.component_id).status)
             new = _ACTION_STATUS[row.action]
             try:
                 check_transition(current, new)
-            except Exception as exc:
-                raise SimulationError(f"invalid event at t={t}: {exc}") from exc
+            except ValueError as exc:
+                raise SimulationError(f"invalid event at t={a}: {exc}") from exc
             statuses[row.component_id] = new
 
-    def solve_dispatch(t: float):
         try:
-            return _dispatch(net, statuses, forced_generators)
+            power_state = _dispatch(net, statuses, forced_generators)
         except PowerFlowError as exc:
-            raise SimulationError(f"power dispatch failed at t={t}: {exc}") from exc
-
-    water_row: list[float] | None = None
-    dirty = True
-
-    def solve_water(t: float, a: float, b: float) -> None:
-        nonlocal water_row, dirty
-        if dirty or not sim.is_stationary():
-            try:
-                state = sim.solve(t)
-            except HydraulicError as exc:
-                raise SimulationError(
-                    f"hydraulic solve failed at t={t} in interval [{a}, {b})"
-                ) from exc
-            dirty = False
-            water_row = [state.actual_demand[cid] for cid in water_ids]
-            dry_sources.clear()
-            dry_sources.update(state.dry_tanks)
-
-    for a, b in zip(boundaries, boundaries[1:]):
-        apply_rows(a)
-
-        power_state = solve_dispatch(a)
+            raise SimulationError(f"power dispatch failed at t={a}: {exc}") from exc
         power_times.append(a)
         power_rows.append([power_state.served.get(cid, 0.0) for cid in power_ids])
 
         forced_pumps = {
             pump for motor, pump in motor_pump if not motor_operational(net, power_state, motor)
         }
-        sim.set_statuses(dict(statuses), forced_off=forced_pumps)
-        dirty = True
+        sim.set_statuses(statuses, forced_off=forced_pumps)
 
-        # sample [a, b); the right endpoint belongs to the next interval
         now = a
-        while now < b - _TIME_TOL:
-            solve_water(now, a, b)
-            if _on_grid(now):
+        while now < b - _TIME_TOL or a == b:
+            if not sim.is_stationary():  # set_statuses drops the last solution
+                try:
+                    state = sim.solve(now)
+                except HydraulicError as exc:
+                    raise SimulationError(
+                        f"hydraulic solve failed at t={now} in interval [{a}, {b})"
+                    ) from exc
+                water_row = [state.actual_demand[cid] for cid in water_ids]
+                forced_generators = {gen for src, gen in source_gen if src in state.dry_tanks}
+            if a == b or _on_grid(now):
                 water_times.append(now)
                 water_rows.append(water_row)
+            if a == b:
+                break
             k = math.floor(now / WATER_SAMPLE_STEP) + 1
             if sim.is_frozen():
                 # every later step of the interval would keep this row and
@@ -505,26 +487,9 @@ def _run_series(
                     water_rows.append(water_row)
                     k += 1
                 break
-            next_grid = k * WATER_SAMPLE_STEP
-            nxt = min(b, next_grid)
+            nxt = min(b, k * WATER_SAMPLE_STEP)
             sim.advance(nxt - now)
             now = nxt
-
-        forced_generators = {gen for src, gen in source_gen if src in dry_sources}
-
-    # final instant: apply any events landing exactly on the horizon
-    apply_rows(horizon)
-    power_state = solve_dispatch(horizon)
-    power_times.append(horizon)
-    power_rows.append([power_state.served.get(cid, 0.0) for cid in power_ids])
-    forced_pumps = {
-        pump for motor, pump in motor_pump if not motor_operational(net, power_state, motor)
-    }
-    sim.set_statuses(dict(statuses), forced_off=forced_pumps)
-    dirty = True
-    solve_water(horizon, horizon, horizon)
-    water_times.append(horizon)
-    water_rows.append(water_row)
 
     return (
         water_ids,
@@ -537,25 +502,25 @@ def _run_series(
 
 
 def _baseline_water(
-    net: IntegratedNetwork, horizon: float, hydraulic_params: HydraulicParams | None
+    net: IntegratedNetwork, horizon: float
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Undisrupted water samples up to ``horizon``: ids, times, rows.
 
-    The network keeps one baseline per set of hydraulic parameters, run
-    to the longest on-grid horizon asked for so far. A shorter on-grid
-    horizon reads its prefix, which is bit-identical to a run of its
-    own; an off-grid horizon is run directly.
+    The network keeps one baseline, run to the longest on-grid horizon
+    asked for so far. A shorter on-grid horizon reads its prefix, which
+    is bit-identical to a run of its own; an off-grid horizon is run
+    directly.
     """
 
     def run() -> tuple[list[str], np.ndarray, np.ndarray]:
-        ids, times, rows, _, _, _ = _run_series(net, EventTable(()), horizon, hydraulic_params)
+        ids, times, rows, _, _, _ = _run_series(net, EventTable(()), horizon)
         times.flags.writeable = rows.flags.writeable = False  # shared by later runs
         return ids, times, rows
 
     if not _on_grid(horizon):
         return run()
     ids, times, rows = net.cached(
-        ("baseline_water", hydraulic_params or HydraulicParams()),
+        ("baseline_water",),
         run,
         usable=lambda kept: kept[1][-1] >= horizon,
     )
@@ -574,7 +539,6 @@ def simulate(
     net: IntegratedNetwork,
     table: EventTable,
     horizon: float | None = None,
-    hydraulic_params: HydraulicParams | None = None,
 ) -> SimulationResult:
     """Replay an event table and record per-consumer service series.
 
@@ -599,8 +563,8 @@ def simulate(
             f"horizon {horizon} precedes the last event at {table.last_time()}"
         )
 
-    water_ids, wt, ws, power_ids, pt, ps = _run_series(net, table, horizon, hydraulic_params)
-    base_ids, bwt, bws = _baseline_water(net, horizon, hydraulic_params)
+    water_ids, wt, ws, power_ids, pt, ps = _run_series(net, table, horizon)
+    base_ids, bwt, bws = _baseline_water(net, horizon)
     if base_ids != water_ids or not np.array_equal(bwt, wt):
         raise SimulationError("baseline and disrupted sample grids diverged")
 
@@ -642,9 +606,6 @@ def make_weighted_eoh_evaluator(
     net: IntegratedNetwork,
     scenario: DisasterScenario,
     crews: list[Crew] | None = None,
-    durations: dict[str, float] | None = None,
-    weights: dict[str, float] | None = None,
-    hydraulic_params: HydraulicParams | None = None,
 ) -> Callable[[dict[str, list[str]]], float]:
     """Score candidate repair orders by simulated weighted outage hours.
 
@@ -653,18 +614,14 @@ def make_weighted_eoh_evaluator(
     orders are penalized for whatever they leave broken.
     """
     total_repair = sum(
-        repair_duration(net.component(f.component_id).kind, durations)
-        for f in scenario.failures
+        repair_duration(net.component(f.component_id).kind) for f in scenario.failures
     )
     horizon = scenario.event.occurrence_time + total_repair + POST_RECOVERY_WINDOW + 3600.0
     horizon = math.ceil(horizon / WATER_SAMPLE_STEP) * WATER_SAMPLE_STEP
 
     def evaluate(order: dict[str, list[str]]) -> float:
-        table = build_event_table(
-            net, scenario, order, crews=crews, durations=durations, allow_partial=True
-        )
-        result = simulate(net, table, horizon=horizon, hydraulic_params=hydraulic_params)
-        return result.weighted_eoh(weights)
+        table = build_event_table(net, scenario, order, crews=crews, allow_partial=True)
+        return simulate(net, table, horizon=horizon).weighted_eoh()
 
     return evaluate
 
@@ -676,9 +633,6 @@ def run_scenario(
     crews: list[Crew] | None = None,
     mpc_horizon: int = 2,
     horizon: float | None = None,
-    durations: dict[str, float] | None = None,
-    weights: dict[str, float] | None = None,
-    hydraulic_params: HydraulicParams | None = None,
 ) -> SimulationResult:
     """Rank repairs, schedule crews, and simulate one disaster scenario.
 
@@ -692,22 +646,14 @@ def run_scenario(
         )
     failed = {f.component_id for f in scenario.failures}
     if not failed:
-        table = EventTable(())
-        return simulate(net, table, horizon=horizon, hydraulic_params=hydraulic_params)
+        return simulate(net, EventTable(()), horizon=horizon)
 
     if crews is None:
         crews = default_crews(net)
-    context = build_planning_context(net, crews, failed, hydraulic_params=hydraulic_params)
+    context = build_planning_context(net, crews, failed)
     if strategy == "mpc":
         completion = rank_components(net, failed, "max_flow", context)
-        evaluate = make_weighted_eoh_evaluator(
-            net,
-            scenario,
-            crews=crews,
-            durations=durations,
-            weights=weights,
-            hydraulic_params=hydraulic_params,
-        )
+        evaluate = make_weighted_eoh_evaluator(net, scenario, crews=crews)
         order = mpc_sequence(
             {k: list(v) for k, v in completion.items()},
             mpc_horizon,
@@ -717,5 +663,5 @@ def run_scenario(
     else:
         order = rank_components(net, failed, strategy, context)
 
-    table = build_event_table(net, scenario, order, crews=crews, durations=durations)
-    return simulate(net, table, horizon=horizon, hydraulic_params=hydraulic_params)
+    table = build_event_table(net, scenario, order, crews=crews)
+    return simulate(net, table, horizon=horizon)

@@ -160,12 +160,10 @@ def assign_traffic(
     )
 
 
-def link_times_key(
-    net: IntegratedNetwork, component_statuses: dict[str, str], params: TrafficParams | None
-) -> tuple:
-    """Memo key of the congested link times ``assign_traffic`` returns:
-    the road links' in-service flags and the parameters."""
-    return ("link_times", net.service_key(TRAFFIC, component_statuses), params or TrafficParams())
+def link_times_key(net: IntegratedNetwork, component_statuses: dict[str, str]) -> tuple:
+    """Memo key of the congested link times ``assign_traffic`` returns
+    with its default parameters: the road links' in-service flags."""
+    return ("link_times", net.service_key(TRAFFIC, component_statuses))
 
 
 def shortest_travel_time(state: TrafficState, origin: str, destination: str) -> float:

@@ -82,9 +82,9 @@ def test_baseline_horizons_match_fresh_runs():
             simulate(net, table, horizon=horizon),
             simulate(_unmemoized(), table, horizon=horizon),
         )
-        ids, times, rows = _baseline_water(net, horizon, None)
+        ids, times, rows = _baseline_water(net, horizon)
         want_ids, want_times, want_rows, _, _, _ = _run_series(
-            build_simple_testbed(), EventTable(()), horizon, None
+            build_simple_testbed(), EventTable(()), horizon
         )
         assert ids == want_ids
         np.testing.assert_array_equal(times, want_times)

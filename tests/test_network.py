@@ -8,7 +8,6 @@ from lifelinesim.network import (
     Component,
     Dependency,
     IntegratedNetwork,
-    NetworkValidationError,
     POWER,
     STATUS_FAILED,
     STATUS_OPERATIONAL,
@@ -89,16 +88,43 @@ class TestSerialization:
         again = load_network(path)
         assert network_to_dict(again) == network_to_dict(net)
 
-    def test_packaged_testbed_matches_builder(self, net):
-        from importlib import resources
+    def test_make_testbed_file_matches_builder(self, net, tmp_path):
+        from lifelinesim import cli
 
-        ref = resources.files("lifelinesim").joinpath("data/simple_testbed.json")
-        with resources.as_file(ref) as path:
-            shipped = load_network(str(path))
-        assert network_to_dict(shipped) == network_to_dict(net)
+        assert cli.main(["make-testbed", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "simple_testbed.json"
+        written = load_network(str(path))
+        assert network_to_dict(written) == network_to_dict(net)
+        save_network(written, str(tmp_path / "again.json"))
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def _with_dependency(net, source, target, kind, extra=()):
+    return IntegratedNetwork(
+        [*net.components, *extra], [*net.dependencies, Dependency(source, target, kind)],
+        od_matrix=net.od_matrix, zone_priority=net.zone_priority,
+    )
 
 
 class TestValidation:
+    def test_bus_cannot_drive_a_pump(self, net):
+        # only a motor's state is checked by the replay, never a bus's
+        violations = validate_network(_with_dependency(net, "B9", "WPU1", "motor_drives_pump"))
+        assert [(v.component_id, v.rule) for v in violations] == [("B9", "dependency-kind")]
+
+    def test_reservoir_cannot_feed_a_generator(self, net):
+        # a reservoir never runs dry, so the coupling could never act
+        pgen = Component("PGEN", POWER, "generator", (-500.0, -320.0),
+                         {"max_mw": 5.0, "cost": 1.0}, buses=("B9",))
+        fed = _with_dependency(net, "WR1", "PGEN", "reservoir_feeds_generator", [pgen])
+        violations = validate_network(fed)
+        assert [(v.component_id, v.rule) for v in violations] == [("WR1", "dependency-kind")]
+
+    def test_road_access_is_not_a_dependency_kind(self, net):
+        violations = validate_network(_with_dependency(net, "T5", "PL5", "road_provides_access"))
+        assert [(v.component_id, v.rule) for v in violations] == [("T5", "dependency-kind")]
+        assert "unknown kind" in violations[0].message
+
     def test_dangling_dependency_target(self):
         comps = [
             Component("B1", POWER, "bus", (0.0, 0.0)),

@@ -1,15 +1,12 @@
 """Event-table scheduling and the interdependent replay loop."""
 
-import math
-
 import numpy as np
 import pytest
 
-from lifelinesim import recovery, simulation
+from lifelinesim import simulation
 from lifelinesim.hazard import ComponentFailure, DisasterScenario, HazardEvent
-from lifelinesim.hydraulics import HydraulicParams
 from lifelinesim.metrics import pcs, pcs_curve
-from lifelinesim.network import Component, IntegratedNetwork, TRAFFIC, WATER
+from lifelinesim.network import POWER, TRAFFIC, WATER, Component, Dependency, IntegratedNetwork
 from lifelinesim.recovery import Crew, RecoveryError
 from lifelinesim.simulation import (
     ACTION_FAIL,
@@ -316,8 +313,8 @@ class TestSimulate:
         table = EventTable((EventRow(1800.0, "PL5", ACTION_FAIL),))
         real = simulation._baseline_water
 
-        def shifted(net, horizon, params):
-            ids, times, rows = real(net, horizon, params)
+        def shifted(net, horizon):
+            ids, times, rows = real(net, horizon)
             return ids, np.append(times[:-1], times[-1] + 30.0), rows
 
         monkeypatch.setattr(simulation, "_baseline_water", shifted)
@@ -390,6 +387,31 @@ class TestSimulate:
         with pytest.raises(SimulationError):
             result.series("gas")
 
+    def test_dry_tank_forces_its_generator_off(self):
+        # PGEN on B9 is fed by tank WT1; once PL5 is out it is PM1's only supply
+        base = build_simple_testbed()
+        pgen = Component("PGEN", POWER, "generator", (-500.0, -320.0),
+                         {"max_mw": 5.0, "cost": 1.0}, buses=("B9",))
+        net = IntegratedNetwork(
+            [*base.components, pgen],
+            [*base.dependencies, Dependency("WT1", "PGEN", "reservoir_feeds_generator")],
+            od_matrix=base.od_matrix, zone_priority=base.zone_priority,
+        )
+        table = EventTable((
+            EventRow(3600.0, "WPU1", ACTION_FAIL),
+            EventRow(3600.0, "PL5", ACTION_FAIL),
+            EventRow(10000.0, "TL-T5-T6", ACTION_FAIL),
+            EventRow(40000.0, "PL5", ACTION_REPAIR_START, "power-crew-1"),
+            EventRow(50000.0, "PL5", ACTION_REPAIR_END, "power-crew-1"),
+        ))
+        result = simulate(net, table, horizon=60000.0)
+
+        water = result.water
+        assert np.all(water.supplied[water.times >= 6300.0] == 0.0)
+        pm1 = result.power.consumers.index("PM1")
+        served = dict(zip(result.power.times, result.power.supplied[:, pm1]))
+        assert [served[t] for t in (3600.0, 10000.0, 40000.0, 50000.0)] == [2.0, 0.0, 0.0, 2.0]
+
 
 class TestRunScenario:
     def test_unknown_strategy_rejected(self, net):
@@ -414,17 +436,3 @@ class TestRunScenario:
             for s in ("max_flow", "centrality", "crew_distance", "zone")
         ]
         assert all(t == tables[0] for t in tables[1:])
-
-    def test_hydraulic_params_reach_planning(self, monkeypatch):
-        seen = []
-        real_solve = recovery.solve_hydraulics
-
-        def solve_hydraulics(*args, **kwargs):
-            seen.append(kwargs["params"])
-            return real_solve(*args, **kwargs)
-
-        monkeypatch.setattr(recovery, "solve_hydraulics", solve_hydraulics)
-        params = HydraulicParams(pf=25.0)
-        run_scenario(build_simple_testbed(), _scenario([("PL5", "full")]), "max_flow",
-                     horizon=20000.0, hydraulic_params=params)
-        assert seen == [params]
