@@ -50,19 +50,6 @@ def shortest_path_length(adj: Adjacency, source: str, target: str) -> float:
     return dist.get(target, math.inf)
 
 
-def reachable_from(adj: Adjacency, source: str) -> set[str]:
-    """Nodes reachable from source by directed BFS (source included)."""
-    seen = {source}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for nbr, _, _ in adj.get(node, ()):
-            if nbr not in seen:
-                seen.add(nbr)
-                queue.append(nbr)
-    return seen
-
-
 def connected_components(nodes: list[str], edges: list[tuple[str, str]]) -> list[set[str]]:
     """Undirected connected components, one set per component."""
     adj: dict[str, list[str]] = {n: [] for n in nodes}

@@ -4,6 +4,9 @@ Link travel times follow the standard polynomial volume-delay form
 t = t0 * (1 + alpha * (x/c)^beta). Each iteration loads an all-or-nothing
 assignment on current times and takes the exact line-search step that
 minimizes the Beckmann objective, so the objective never increases.
+The all-or-nothing step makes one multi-source Dijkstra over all origins
+and keeps the shortest-path trees of ``graphs.dijkstra``'s tie rule, so
+its loads equal those of one heap Dijkstra per origin to the bit.
 OD pairs with no usable path are skipped and reported rather than
 failing the assignment, since damaged road networks are the normal case
 here.
@@ -16,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from . import graphs
 from .network import IN_SERVICE, IntegratedNetwork, TRAFFIC
@@ -54,6 +59,102 @@ def _beckmann(x, t0, cap, prm: TrafficParams) -> float:
     )
 
 
+class _AllOrNothing:
+    """All-or-nothing loads on one assignment's fixed road topology.
+
+    Compiled once per assignment: zones indexed in sorted-id order, the
+    links' tail/head indexes, a CSR skeleton with one entry per
+    (tail, head) pair, and the OD pairs split into reachable and
+    unreachable ones. Each call makes one multi-source Dijkstra and
+    recovers the shortest-path trees ``graphs.dijkstra`` builds.
+    """
+
+    def __init__(self, links: list, demands: list[tuple[str, str, float]], zone_ids: list[str]):
+        nodes = sorted(set(zone_ids).union(*((o, d) for o, d, _ in demands)))
+        index = {z: i for i, z in enumerate(nodes)}
+        self.nodes = nodes
+        self._tail = np.array([index[c.ends[0]] for c in links], dtype=np.intp)
+        self._head = np.array([index[c.ends[1]] for c in links], dtype=np.intp)
+        # heap tie order among equal-distance tails: tail id, then link
+        # order; the last entry stands for "no link"
+        self._by_rank = np.r_[np.argsort(self._tail, kind="stable"), -1]
+        self._rank = np.argsort(self._by_rank[:-1])
+        # CSR skeleton: parallel links collapse to one entry, the cheapest
+        self._by_pair = np.lexsort((self._head, self._tail))
+        tails, heads = self._tail[self._by_pair], self._head[self._by_pair]
+        self._pair_start = np.flatnonzero(np.diff(tails * len(nodes) + heads, prepend=-1))
+        indptr = np.searchsorted(tails[self._pair_start], np.arange(len(nodes) + 1))
+        self._graph = csr_matrix(
+            (np.ones(len(self._pair_start)), heads[self._pair_start], indptr), shape=(len(nodes), len(nodes))
+        )
+
+        orig = np.array([index[o] for o, _, _ in demands], dtype=np.intp)
+        dest = np.array([index[d] for _, d, _ in demands], dtype=np.intp)
+        self.origins = np.unique(orig)
+        row = np.searchsorted(self.origins, orig)
+        hops = dijkstra(self._graph, directed=True, indices=self.origins, unweighted=True)
+        reach = np.isfinite(hops[row, dest])
+        self.unreachable = [(o, d) for (o, d, _), ok in zip(demands, reach) if not ok]
+        # a zone's demand to itself loads no link and adds 0 to the SPTT
+        load = reach & (orig != dest)
+        self._orig, self._dest, self._row = orig[load], dest[load], row[load]
+        self._volume = np.array([v for _, _, v in demands])[load]
+
+    def distances(self, times: np.ndarray) -> np.ndarray:
+        """Shortest travel times from each origin (rows) to every node."""
+        self._graph.data[:] = np.minimum.reduceat(times[self._by_pair], self._pair_start)
+        return dijkstra(self._graph, directed=True, indices=self.origins)
+
+    def __call__(self, times: np.ndarray) -> tuple[np.ndarray, float]:
+        """Load all demand on current shortest paths; also returns the
+        total shortest-path travel time (SPTT)."""
+        dist = self.distances(times)
+        nn = len(self.nodes)
+        # Predecessor link of each node: graphs.dijkstra keeps the first
+        # strict improvement, and with positive weights nodes settle in
+        # (dist, id) order, so among links with dist[u] + w == dist[v]
+        # it keeps the lowest (dist[u], id(u), link order).
+        du = dist[:, self._tail]
+        row, link = np.nonzero((du + times == dist[:, self._head]) & np.isfinite(du))
+        group = row * nn + self._head[link]
+        du = du[row, link]
+        nearest = np.full(dist.size, np.inf)
+        np.minimum.at(nearest, group, du)
+        keep = du == nearest[group]
+        lowest = np.full(dist.size, len(self._tail))
+        np.minimum.at(lowest, group[keep], self._rank[link[keep]])
+        pred = self._by_rank[lowest]
+
+        # walk every OD path up its tree, one hop for all pairs at a time
+        pair = np.arange(len(self._dest))
+        node, at, orig = self._dest, self._row * nn, self._orig
+        hop_pairs, hop_links = [], []
+        while pair.size:
+            k = pred[at + node]
+            hop_pairs.append(pair)
+            hop_links.append(k)
+            node = self._tail[k]
+            more = node != orig
+            pair, node, at, orig = pair[more], node[more], at[more], orig[more]
+        y = np.zeros(len(self._tail))
+        if hop_pairs:
+            pairs, links = np.concatenate(hop_pairs), np.concatenate(hop_links)
+            # each link's loads are added in OD order, as a per-pair loop would
+            by_od = np.argsort(pairs, kind="stable")
+            np.add.at(y, links[by_od], self._volume[pairs[by_od]])
+        # sequential sum in OD order (np.sum would sum pairwise)
+        cost = self._volume * dist[self._row, self._dest]
+        sptt = float(np.cumsum(cost)[-1]) if cost.size else 0.0
+        return y, sptt
+
+
+def _adjacency(links: list, zone_ids: list[str], times: np.ndarray) -> graphs.Adjacency:
+    adj: graphs.Adjacency = {z: [] for z in zone_ids}
+    for k, c in enumerate(links):
+        adj[c.ends[0]].append((c.ends[1], float(times[k]), c.id))
+    return adj
+
+
 def assign_traffic(
     net: IntegratedNetwork,
     component_statuses: dict[str, str] | None = None,
@@ -68,7 +169,6 @@ def assign_traffic(
         for c in sorted(net.components_of(TRAFFIC, "road_link"), key=lambda c: c.id)
         if statuses.get(c.id, c.status) in IN_SERVICE
     ]
-    lidx = {c.id: k for k, c in enumerate(links)}
     t0 = np.array([c.attrs["free_flow_time"] for c in links])
     cap = np.array([c.attrs["capacity"] for c in links])
     n = len(links)
@@ -82,45 +182,15 @@ def assign_traffic(
 
     zone_ids = [z.id for z in net.nodes_of(TRAFFIC)]
 
-    def adjacency(times: np.ndarray) -> graphs.Adjacency:
-        adj: graphs.Adjacency = {z: [] for z in zone_ids}
-        for k, c in enumerate(links):
-            adj[c.ends[0]].append((c.ends[1], float(times[k]), c.id))
-        return adj
-
-    unreachable: set[tuple[str, str]] = set()
-
-    def all_or_nothing(times: np.ndarray) -> tuple[np.ndarray, float]:
-        """Load all demand on current shortest paths; also returns the
-        total shortest-path travel time (SPTT)."""
-        y = np.zeros(n)
-        sptt = 0.0
-        adj = adjacency(times)
-        by_origin: dict[str, list[tuple[str, float]]] = {}
-        for orig, dest, v in demands:
-            by_origin.setdefault(orig, []).append((dest, v))
-        for orig in sorted(by_origin):
-            dist, pred = graphs.dijkstra(adj, orig)
-            for dest, v in by_origin[orig]:
-                if dest not in dist:
-                    unreachable.add((orig, dest))
-                    continue
-                sptt += v * dist[dest]
-                node = dest
-                while node != orig:
-                    node, eid = pred[node]
-                    y[lidx[eid]] += v
-        return y, sptt
-
     history: list[float] = []
     if n == 0 or not demands:
-        if n == 0:
-            unreachable.update((o, d) for o, d, _ in demands)
-        times = t0.copy()
+        unreachable = [(o, d) for o, d, _ in demands]
         state_flow = {c.id: 0.0 for c in links}
-        state_time = {c.id: float(times[k]) for k, c in enumerate(links)}
-        return TrafficState(state_flow, state_time, 0.0, 0, sorted(unreachable), history, adjacency(times))
+        state_time = {c.id: float(t0[k]) for k, c in enumerate(links)}
+        adj = _adjacency(links, zone_ids, t0)
+        return TrafficState(state_flow, state_time, 0.0, 0, sorted(unreachable), history, adj)
 
+    all_or_nothing = _AllOrNothing(links, demands, zone_ids)
     x, _ = all_or_nothing(t0)
     history.append(_beckmann(x, t0, cap, prm))
     gap = math.inf
@@ -154,9 +224,9 @@ def assign_traffic(
         link_time={c.id: float(times[k]) for k, c in enumerate(links)},
         relative_gap=float(gap),
         iterations=it,
-        unreachable=sorted(unreachable),
+        unreachable=sorted(all_or_nothing.unreachable),
         beckmann_history=history,
-        _adjacency=adjacency(times),
+        _adjacency=_adjacency(links, zone_ids, times),
     )
 
 

@@ -8,7 +8,6 @@ from lifelinesim.graphs import (
     connected_components,
     dijkstra,
     edge_betweenness,
-    reachable_from,
     shortest_path_length,
 )
 
@@ -37,12 +36,6 @@ def test_dijkstra_unreachable_absent():
 def test_dijkstra_rejects_negative_weight():
     with pytest.raises(ValueError):
         dijkstra({"a": [("b", -1.0, "ab")], "b": []}, "a")
-
-
-def test_reachable_from():
-    adj = {"a": [("b", 1.0, "ab")], "b": [("c", 1.0, "bc")], "c": [], "z": []}
-    assert reachable_from(adj, "a") == {"a", "b", "c"}
-    assert reachable_from(adj, "z") == {"z"}
 
 
 def test_connected_components():

@@ -9,8 +9,6 @@ from lifelinesim.hazard import (
     CONDITIONAL_FAILURE,
     FLOOD_INTENSITY_WEIGHTS,
     INTENSITIES,
-    ComponentFailure,
-    DisasterScenario,
     HazardError,
     HazardEvent,
     conditional_failure_probability,

@@ -1,7 +1,5 @@
 """Repair ranking strategies, crew defaults, and receding-horizon search."""
 
-import itertools
-
 import pytest
 
 from lifelinesim import graphs, recovery
@@ -16,7 +14,6 @@ from lifelinesim.network import (
 )
 from lifelinesim.recovery import (
     MPC_CANDIDATE_LIMIT,
-    Crew,
     RecoveryError,
     REPAIR_DURATIONS,
     STRATEGIES,

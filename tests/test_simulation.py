@@ -5,7 +5,7 @@ import pytest
 
 from lifelinesim import simulation
 from lifelinesim.hazard import ComponentFailure, DisasterScenario, HazardEvent
-from lifelinesim.metrics import pcs, pcs_curve
+from lifelinesim.metrics import pcs_curve
 from lifelinesim.network import POWER, TRAFFIC, WATER, Component, Dependency, IntegratedNetwork
 from lifelinesim.recovery import Crew, RecoveryError
 from lifelinesim.simulation import (

@@ -1,11 +1,15 @@
-"""Traffic assignment: analytic two-link equilibrium, convergence, reroutes."""
+"""Traffic assignment: analytic two-link equilibrium, convergence, reroutes,
+and the array all-or-nothing step against a per-origin heap Dijkstra."""
 
-import math
+import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from lifelinesim import graphs, traffic
+from lifelinesim.network import Component, IntegratedNetwork, TRAFFIC
 from lifelinesim.traffic import (
     TrafficAssignmentError,
     TrafficParams,
@@ -107,3 +111,144 @@ class TestDisruption:
         state = assign_traffic(blockage_net)
         assert shortest_travel_time(state, "Z1", "Z3") == pytest.approx(120.0, abs=1e-9)
         assert shortest_travel_time(state, "Z1", "Z1") == 0.0
+
+
+class _HeapAllOrNothing:
+    """Oracle: the all-or-nothing step as one ``graphs.dijkstra`` per
+    origin and a walk of each OD path through the predecessor dicts."""
+
+    def __init__(self, links, demands, zone_ids):
+        self.links, self.demands, self.zone_ids = links, demands, zone_ids
+        self.lidx = {c.id: k for k, c in enumerate(links)}
+        self.unreachable = set()
+
+    def __call__(self, times):
+        y = np.zeros(len(self.links))
+        sptt = 0.0
+        adj = traffic._adjacency(self.links, self.zone_ids, times)
+        by_origin = {}
+        for orig, dest, v in self.demands:
+            by_origin.setdefault(orig, []).append((dest, v))
+        for orig in sorted(by_origin):
+            dist, pred = graphs.dijkstra(adj, orig)
+            for dest, v in by_origin[orig]:
+                if dest not in dist:
+                    self.unreachable.add((orig, dest))
+                    continue
+                sptt += v * dist[dest]
+                node = dest
+                while node != orig:
+                    node, eid = pred[node]
+                    y[self.lidx[eid]] += v
+        return y, sptt
+
+
+def _outcome(net, statuses, params):
+    try:
+        s = assign_traffic(net, statuses, params)
+    except TrafficAssignmentError as exc:
+        return str(exc)
+    return (s.link_flow, s.link_time, s.relative_gap, s.iterations, s.beckmann_history, s.unreachable)
+
+
+def _assert_same_as_heap(monkeypatch, net, statuses=None, params=None):
+    new = _outcome(net, statuses, params)
+    with monkeypatch.context() as m:
+        m.setattr(traffic, "_AllOrNothing", _HeapAllOrNothing)
+        old = _outcome(net, statuses, params)
+    assert new == old
+    return new
+
+
+def _lattice(rows, cols, t0=60.0, isolated=False):
+    """Two-way road lattice with equal free-flow times and all-pairs
+    demand, so most zones have several exactly tied shortest paths.
+    Volumes are not whole numbers, so a link's load depends on the order
+    in which its OD pairs are added. Link ids sort by descending tail,
+    so link order alone does not give the heap's tie order."""
+    zones = [f"Z{r}{c}" for r in range(rows) for c in range(cols)]
+    comps = [Component(z, TRAFFIC, "zone_node", (1000.0 * (k % cols), 1000.0 * (k // cols)))
+             for k, z in enumerate(zones)]
+    for r in range(rows):
+        for c in range(cols):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < rows and c + dc < cols:
+                    a, b = f"Z{r}{c}", f"Z{r + dr}{c + dc}"
+                    for frm, to in ((a, b), (b, a)):
+                        lid = f"L{len(zones) - zones.index(frm):02d}-{frm}-{to}"
+                        comps.append(Component(lid, TRAFFIC, "road_link", (0, 0),
+                                               {"free_flow_time": t0, "capacity": 400.0}, ends=(frm, to)))
+    if isolated:
+        zones.append("ZX")
+        comps.append(Component("ZX", TRAFFIC, "zone_node", (-1000.0, -1000.0)))
+    od = {o: {d: 40.0 + (i * 7 + j) % 10 / 3.0 for j, d in enumerate(zones) if d != o}
+          for i, o in enumerate(zones)}
+    return IntegratedNetwork(comps, [], od_matrix=od)
+
+
+class TestArrayAllOrNothing:
+    """The array step reproduces the heap step's trees, sums and errors."""
+
+    def test_testbed_under_sampled_road_failures(self, monkeypatch, net):
+        roads = sorted(c.id for c in net.components_of(TRAFFIC, "road_link"))
+        rng = random.Random(7)
+        cut_off = 0
+        for k in range(12):
+            failed = rng.sample(roads, k % 6)
+            outcome = _assert_same_as_heap(monkeypatch, net, {r: "failed" for r in failed})
+            cut_off += bool(outcome[-1])
+        assert cut_off  # some samples leave OD pairs without a path
+
+    def test_tie_lattice(self, monkeypatch):
+        outcome = _assert_same_as_heap(monkeypatch, _lattice(4, 4), params=TrafficParams(gap_tol=5e-3))
+        assert outcome[3] > 50
+        # at the default tolerance this lattice stops at the iteration cap
+        outcome = _assert_same_as_heap(monkeypatch, _lattice(4, 4))
+        assert outcome.startswith("no equilibrium after 500 iterations")
+
+    def test_tie_lattice_with_failures(self, monkeypatch):
+        net = _lattice(4, 4)
+        road = {c.ends: c.id for c in net.components_of(TRAFFIC, "road_link")}
+        _assert_same_as_heap(monkeypatch, net, {road["Z11", "Z12"]: "failed", road["Z21", "Z11"]: "failed"})
+
+    def test_parallel_links(self, monkeypatch, two_link_net):
+        _assert_same_as_heap(monkeypatch, two_link_net)
+        _assert_same_as_heap(monkeypatch, two_link_net, params=TrafficParams(gap_tol=1e-10, max_iterations=5000))
+
+    def test_tied_parallel_links(self, monkeypatch):
+        comps = [
+            Component("A", TRAFFIC, "zone_node", (0.0, 0.0)),
+            Component("B", TRAFFIC, "zone_node", (1000.0, 0.0)),
+        ] + [
+            Component(lid, TRAFFIC, "road_link", (0, 0),
+                      {"free_flow_time": 100.0, "capacity": 1000.0}, ends=("A", "B"))
+            for lid in ("R2", "R1", "R3")
+        ]
+        # the unvalidated self-demand A->A loads nothing and costs nothing
+        net = IntegratedNetwork(comps, [], od_matrix={"A": {"A": 7.0, "B": 1000.0}})
+        outcome = _assert_same_as_heap(monkeypatch, net, params=TrafficParams(gap_tol=1e-10, max_iterations=5000))
+        assert outcome[3] > 1
+
+    def test_unreachable_pair(self, monkeypatch):
+        outcome = _assert_same_as_heap(monkeypatch, _lattice(3, 3, isolated=True))
+        assert ("Z00", "ZX") in outcome[-1] and ("ZX", "Z00") in outcome[-1]
+
+    def test_iteration_cap_error_text(self, monkeypatch, net):
+        outcome = _assert_same_as_heap(monkeypatch, net, {"TL-T5-T2": "failed"}, TrafficParams(max_iterations=2))
+        assert outcome.startswith("no equilibrium after 2 iterations")
+
+    def test_distances_match_networkx(self):
+        net = _lattice(4, 4, isolated=True)
+        links = sorted(net.components_of(TRAFFIC, "road_link"), key=lambda c: c.id)
+        demands = [(o, d, v) for o in sorted(net.od_matrix) for d, v in sorted(net.od_matrix[o].items())]
+        aon = traffic._AllOrNothing(links, demands, [z.id for z in net.nodes_of(TRAFFIC)])
+        t0 = np.array([c.attrs["free_flow_time"] for c in links])
+        for times in (t0, t0 * (1.0 + np.arange(len(links)) % 3 / 7.0)):
+            g = nx.DiGraph()
+            g.add_nodes_from(aon.nodes)
+            g.add_weighted_edges_from((c.ends[0], c.ends[1], t) for c, t in zip(links, times))
+            dist = aon.distances(times)
+            for i, o in enumerate(aon.origins):
+                want = nx.single_source_dijkstra_path_length(g, aon.nodes[o])
+                got = {z: d for z, d in zip(aon.nodes, dist[i]) if np.isfinite(d)}
+                assert got == want
