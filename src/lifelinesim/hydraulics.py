@@ -53,11 +53,15 @@ def pda_demand(pressure: float, desired: float, p0: float = 0.0, pf: float = 20.
 
     Zero at or below p0, the full desired demand above pf, and a
     power-law fraction in between. Accepts scalars or numpy arrays.
+    Two scalars take a plain-float path whose bits equal numpy's on 0-d
+    arrays; n-d arrays may round differently in the last bit.
     """
     if not pf > p0:
         raise ValueError("pf must exceed p0")
     if e <= 0:
         raise ValueError("demand exponent must be positive")
+    if isinstance(pressure, (int, float)) and isinstance(desired, (int, float)):
+        return float(desired) * min(max((float(pressure) - p0) / (pf - p0), 0.0), 1.0) ** (1.0 / e)
     p = np.asarray(pressure, dtype=float)
     frac = np.clip((p - p0) / (pf - p0), 0.0, 1.0) ** (1.0 / e)
     out = np.asarray(desired, dtype=float) * frac
@@ -85,21 +89,26 @@ _PIPE, _PUMP = 0, 1
 
 @dataclass
 class HydraulicState:
-    """Snapshot of one converged steady state."""
+    """Snapshot of one converged steady state.
+
+    The last five fields are filled only by ``solve(full=True)``, as
+    ``solve_hydraulics`` asks; the interdependent replay reads none of
+    them and leaves them ``None``.
+    """
 
     time: float
-    node_head: dict[str, float]
-    node_pressure: dict[str, float]
     actual_demand: dict[str, float]
-    desired_demand: dict[str, float]
-    link_flow: dict[str, float]
-    leak_discharge: dict[str, float]
     tank_level: dict[str, float]
     tank_inflow: dict[str, float]
     dry_tanks: list[str]
     dead_nodes: list[str]
     residual: float
     iterations: int
+    node_head: dict[str, float] | None = None
+    node_pressure: dict[str, float] | None = None
+    desired_demand: dict[str, float] | None = None
+    link_flow: dict[str, float] | None = None
+    leak_discharge: dict[str, float] | None = None
 
 
 def _elevation(net: IntegratedNetwork, node_id: str) -> float:
@@ -378,8 +387,12 @@ class WaterSimulator:
 
     # -- public stepping ----------------------------------------------------
 
-    def solve(self, time: float = 0.0) -> HydraulicState:
-        """Converge a steady state at current statuses and tank levels."""
+    def solve(self, time: float = 0.0, full: bool = True) -> HydraulicState:
+        """Converge a steady state at current statuses and tank levels.
+
+        ``full=False`` skips the heads, pressures, desired demands, link
+        flows and leak discharges (see ``HydraulicState``).
+        """
         closed: set[str] = set()
         dry: set[str] = set()
         for _ in range(1 + len(self._tanks)):
@@ -403,7 +416,7 @@ class WaterSimulator:
             if not toggled:
                 break
 
-        state = self._build_state(sys, fixed, q, h, tank_inflow, time, res_norm, iters, dry)
+        state = self._build_state(sys, fixed, q, h, tank_inflow, time, res_norm, iters, dry, full)
         self._warm_h = dict(zip(sys.junction_ids, h))
         self._warm_q = dict(zip(sys.link_ids, q))
         self._last_state = state
@@ -463,43 +476,32 @@ class WaterSimulator:
                 return False
         return True
 
-    def _build_state(self, sys, fixed, q, h, tank_inflow, time, res_norm, iters, dry) -> HydraulicState:
+    def checkpoint(self) -> tuple:
+        """Everything a later solve or step reads, warm start included,
+        for ``restore``. Only the tank levels are updated in place; the
+        rest is replaced whole, so the checkpoint shares it."""
+        return (
+            dict(self.tank_level), self.statuses, self.forced_off,
+            self._warm_h, self._warm_q, self._last_state, self._solved_levels,
+        )
+
+    def restore(self, checkpoint: tuple) -> None:
+        levels, self.statuses, self.forced_off, self._warm_h, self._warm_q, \
+            self._last_state, self._solved_levels = checkpoint
+        self.tank_level = dict(levels)
+
+    def _build_state(self, sys, fixed, q, h, tank_inflow, time, res_norm, iters, dry, full) -> HydraulicState:
         prm = self.params
-        node_head: dict[str, float] = dict(zip(sys.fixed_ids, fixed))
-        node_pressure: dict[str, float] = {}
-        actual: dict[str, float] = {}
-        desired: dict[str, float] = {}
-        leak_out: dict[str, float] = {}
-
-        heads = {jid: float(v) for jid, v in zip(sys.junction_ids, h)}
-        for nid, z, base_demand in self._demand_nodes:
-            head = heads.get(nid, z)  # dead nodes pin to elevation
-            node_head[nid] = head
-            node_pressure[nid] = head - z
-            desired[nid] = float(base_demand)
-            # one scalar call per node: numpy's array power rounds
-            # differently from the scalar path in the last bit
-            actual[nid] = float(pda_demand(head - z, base_demand, prm.p0, prm.pf, prm.e))
-        if sys.leak.any():
-            for jid, dv, leak in zip(sys.junction_ids, self._demand(h, sys), sys.leak):
-                if leak:
-                    leak_out[jid.split("::")[0]] = float(dv)
-                    node_head[jid] = heads[jid]
-
-        link_flow: dict[str, float] = {c.id: 0.0 for c in self.net.edges_of(WATER)}
-        for rid, qk in zip(sys.link_ids, q):
-            if rid.endswith("::b"):
-                continue  # report the inlet half as the pipe's through-flow
-            link_flow[rid.split("::")[0]] = float(qk)
-
-        return HydraulicState(
+        heads = dict(zip(sys.junction_ids, h.tolist()))
+        # one scalar call per node: numpy's array power rounds
+        # differently from the scalar path in the last bit
+        actual = {
+            nid: pda_demand(heads.get(nid, z) - z, base_demand, prm.p0, prm.pf, prm.e)
+            for nid, z, base_demand in self._demand_nodes  # dead nodes pin to elevation
+        }
+        state = HydraulicState(
             time=time,
-            node_head=node_head,
-            node_pressure=node_pressure,
             actual_demand=actual,
-            desired_demand=desired,
-            link_flow=link_flow,
-            leak_discharge=leak_out,
             tank_level=dict(self.tank_level),
             tank_inflow={t: float(v) for t, v in tank_inflow.items()},
             dry_tanks=sorted(dry),
@@ -507,6 +509,29 @@ class WaterSimulator:
             residual=res_norm,
             iterations=iters,
         )
+        if not full:
+            return state
+
+        state.node_head = dict(zip(sys.fixed_ids, fixed))
+        state.node_pressure = {}
+        state.desired_demand = {}
+        for nid, z, base_demand in self._demand_nodes:
+            state.node_head[nid] = heads.get(nid, z)
+            state.node_pressure[nid] = state.node_head[nid] - z
+            state.desired_demand[nid] = float(base_demand)
+        state.leak_discharge = {}
+        if sys.leak.any():
+            for jid, dv, leak in zip(sys.junction_ids, self._demand(h, sys), sys.leak):
+                if leak:
+                    state.leak_discharge[jid.split("::")[0]] = float(dv)
+                    state.node_head[jid] = heads[jid]
+
+        state.link_flow = {c.id: 0.0 for c in self.net.edges_of(WATER)}
+        for rid, qk in zip(sys.link_ids, q):
+            if rid.endswith("::b"):
+                continue  # report the inlet half as the pipe's through-flow
+            state.link_flow[rid.split("::")[0]] = float(qk)
+        return state
 
 
 def solve_hydraulics(

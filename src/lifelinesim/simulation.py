@@ -5,19 +5,27 @@ orders into a timestamped ledger of fail/repair events, routing crews
 over the congested road network and deferring components whose access
 node cannot be reached until a road repair opens the way.
 
-``simulate`` replays that ledger: between consecutive event timestamps
-the power dispatch is solved once and held constant, hydraulics are
-sampled every minute of simulation time (tank levels integrate through
-mid-minute events; once nothing can change until the next event, the
-remaining minutes repeat the last sample unstepped), and outages propagate across networks — a
-de-energized motor forces its pump out of service, a dry tank forces
-its dependent generator off.
+``simulate`` replays that ledger: at each event timestamp the power
+dispatch is solved and held, hydraulics are sampled every minute of
+simulation time (tank levels integrate through mid-minute events; once
+nothing can change until the next event, the remaining minutes repeat
+the last sample unstepped), and outages propagate across networks the
+moment they happen — a de-energized motor forces its pump out of
+service, and a tank that runs dry forces its dependent generator off
+(and back on when it refills) with a new dispatch at that minute.
+
+The replay (``_Replay``) can snapshot its state at the start of any
+interval between event timestamps and resume another ledger from it;
+that state depends only on the rows before the interval. Callers that
+replay many ledgers with a shared start, such as the mpc evaluator,
+pass one snapshot store to ``simulate`` and skip the shared prefix.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -411,71 +419,74 @@ def _dispatch(net: IntegratedNetwork, statuses: dict[str, str], forced_off=froze
     )
 
 
-def _run_series(net: IntegratedNetwork, table: EventTable, horizon: float):
-    """One pass of the interleaved loop; returns raw sample arrays."""
-    water_ids = [c.id for c in sorted(net.consumers(WATER), key=lambda c: c.id)]
-    power_ids = [c.id for c in sorted(net.consumers(POWER), key=lambda c: c.id)]
-    motor_pump = [
-        (d.source_id, d.target_id) for d in net.dependencies if d.kind == "motor_drives_pump"
-    ]
-    source_gen = [
-        (d.source_id, d.target_id) for d in net.dependencies if d.kind == "reservoir_feeds_generator"
-    ]
+class _Replay:
+    """The interleaved loop of ``simulate``, resumable at interval starts.
 
-    by_time = _status_timeline(table)
-    boundaries = sorted({0.0, horizon, *by_time})
-    if boundaries[-1] > horizon:
-        raise SimulationError(f"event at t={boundaries[-1]} beyond horizon {horizon}")
+    Each interval [a, b) applies a's rows, dispatches power, forces the
+    pumps of unpowered motors off and samples hydraulics every minute up
+    to b. A solve that changes which generators have a dry source
+    dispatches again at once. The state at the start of an interval,
+    before a's rows apply, depends only on a and the rows before a, since
+    every earlier boundary is a row time or 0; ``snapshot`` takes it and
+    ``resume`` continues from it. The sample buffers only grow, so a
+    snapshot holds each one with its length instead of a copy.
+    """
 
-    statuses: dict[str, str] = {}
-    forced_generators: set[str] = set()
+    def __init__(self, net: IntegratedNetwork):
+        self.net = net
+        self.water_ids = [c.id for c in sorted(net.consumers(WATER), key=lambda c: c.id)]
+        self.power_ids = [c.id for c in sorted(net.consumers(POWER), key=lambda c: c.id)]
+        self.motor_pump = [
+            (d.source_id, d.target_id) for d in net.dependencies if d.kind == "motor_drives_pump"
+        ]
+        self.source_gen = [
+            (d.source_id, d.target_id) for d in net.dependencies if d.kind == "reservoir_feeds_generator"
+        ]
+        self.rounds = 1 + len(net.components_of(WATER, "tank"))
+        self.sim = WaterSimulator(net)
+        self.statuses: dict[str, str] = {}
+        self.forced_generators: frozenset[str] = frozenset()  # what the last dispatch used
+        self.water_row: list[float] | None = None
+        self.water_times: list[float] = []
+        self.water_rows: list[list[float]] = []
+        self.power_times: list[float] = []
+        self.power_rows: list[list[float]] = []
 
-    sim = WaterSimulator(net)
-    water_times: list[float] = []
-    water_rows: list[list[float]] = []
-    power_times: list[float] = []
-    power_rows: list[list[float]] = []
-    water_row: list[float] | None = None
+    def snapshot(self) -> tuple:
+        buffers = (self.water_times, self.water_rows, self.power_times, self.power_rows)
+        return (
+            dict(self.statuses), self.forced_generators, self.water_row, self.sim.checkpoint(),
+            tuple((buf, len(buf)) for buf in buffers),
+        )
 
-    # each interval [a, b) is sampled up to but excluding b, which belongs
-    # to the next one; the horizon closes the run as a zero-length interval
-    # sampled once, on the grid or off it
-    for a, b in [*zip(boundaries, boundaries[1:]), (horizon, horizon)]:
-        for row in by_time.get(a, ()):
-            current = statuses.get(row.component_id, net.component(row.component_id).status)
+    def resume(self, snapshot: tuple) -> None:
+        statuses, self.forced_generators, self.water_row, checkpoint, buffers = snapshot
+        self.statuses = dict(statuses)
+        self.sim.restore(checkpoint)
+        self.water_times, self.water_rows, self.power_times, self.power_rows = (
+            buf[:n] for buf, n in buffers
+        )
+
+    def interval(self, a: float, b: float, rows) -> None:
+        """Apply a's rows and sample [a, b); a == b samples once, at a."""
+        sim = self.sim
+        for row in rows:
+            current = self.statuses.get(row.component_id, self.net.component(row.component_id).status)
             new = _ACTION_STATUS[row.action]
             try:
                 check_transition(current, new)
             except ValueError as exc:
                 raise SimulationError(f"invalid event at t={a}: {exc}") from exc
-            statuses[row.component_id] = new
-
-        try:
-            power_state = _dispatch(net, statuses, forced_generators)
-        except PowerFlowError as exc:
-            raise SimulationError(f"power dispatch failed at t={a}: {exc}") from exc
-        power_times.append(a)
-        power_rows.append([power_state.served.get(cid, 0.0) for cid in power_ids])
-
-        forced_pumps = {
-            pump for motor, pump in motor_pump if not motor_operational(net, power_state, motor)
-        }
-        sim.set_statuses(statuses, forced_off=forced_pumps)
+            self.statuses[row.component_id] = new
+        sim.set_statuses(self.statuses, forced_off=self._dispatch(a))
 
         now = a
         while now < b - _TIME_TOL or a == b:
             if not sim.is_stationary():  # set_statuses drops the last solution
-                try:
-                    state = sim.solve(now)
-                except HydraulicError as exc:
-                    raise SimulationError(
-                        f"hydraulic solve failed at t={now} in interval [{a}, {b})"
-                    ) from exc
-                water_row = [state.actual_demand[cid] for cid in water_ids]
-                forced_generators = {gen for src, gen in source_gen if src in state.dry_tanks}
+                self._solve(now, a, b)
             if a == b or _on_grid(now):
-                water_times.append(now)
-                water_rows.append(water_row)
+                self.water_times.append(now)
+                self.water_rows.append(self.water_row)
             if a == b:
                 break
             k = math.floor(now / WATER_SAMPLE_STEP) + 1
@@ -483,21 +494,94 @@ def _run_series(net: IntegratedNetwork, table: EventTable, horizon: float):
                 # every later step of the interval would keep this row and
                 # these levels: emit its remaining grid samples directly
                 while k * WATER_SAMPLE_STEP < b - _TIME_TOL:
-                    water_times.append(k * WATER_SAMPLE_STEP)
-                    water_rows.append(water_row)
+                    self.water_times.append(k * WATER_SAMPLE_STEP)
+                    self.water_rows.append(self.water_row)
                     k += 1
                 break
             nxt = min(b, k * WATER_SAMPLE_STEP)
             sim.advance(nxt - now)
             now = nxt
 
+    def _dispatch(self, now: float) -> set[str]:
+        """Dispatch at ``now``, record its power sample (replacing one
+        already taken at ``now``) and return the pumps it leaves unpowered."""
+        try:
+            power = _dispatch(self.net, self.statuses, self.forced_generators)
+        except PowerFlowError as exc:
+            raise SimulationError(f"power dispatch failed at t={now}: {exc}") from exc
+        row = [power.served.get(cid, 0.0) for cid in self.power_ids]
+        if self.power_times and self.power_times[-1] == now:
+            self.power_rows[-1] = row
+        else:
+            self.power_times.append(now)
+            self.power_rows.append(row)
+        return {pump for motor, pump in self.motor_pump if not motor_operational(self.net, power, motor)}
+
+    def _solve(self, now: float, a: float, b: float) -> None:
+        """Solve at ``now``. A new set of generators with a dry source is
+        dispatched at once, and a new set of unpowered pumps re-solves the
+        same instant, at most ``1 + tanks`` solves in all: the bound
+        ``WaterSimulator.solve`` puts on tank closures."""
+        sim = self.sim
+        for rounds_left in reversed(range(self.rounds)):
+            try:
+                state = sim.solve(now, full=False)
+            except HydraulicError as exc:
+                raise SimulationError(
+                    f"hydraulic solve failed at t={now} in interval [{a}, {b})"
+                ) from exc
+            forced = frozenset(gen for src, gen in self.source_gen if src in state.dry_tanks)
+            if forced == self.forced_generators:
+                break
+            self.forced_generators = forced
+            pumps = self._dispatch(now)
+            if pumps == sim.forced_off or not rounds_left:
+                break
+            sim.set_statuses(self.statuses, forced_off=pumps)
+        self.water_row = [state.actual_demand[cid] for cid in self.water_ids]
+
+
+def _run_series(
+    net: IntegratedNetwork, table: EventTable, horizon: float, snapshots: dict | None = None
+):
+    """Replay ``table`` to ``horizon``; returns raw sample arrays.
+
+    With a ``snapshots`` store the replay starts from the latest boundary
+    ``a`` stored under (rows before ``a``, ``a``) and stores a snapshot
+    under that key at each later boundary it reaches. Without one it
+    builds no keys and takes no snapshots.
+    """
+    by_time = _status_timeline(table)
+    boundaries = sorted({0.0, horizon, *by_time})
+    if boundaries[-1] > horizon:
+        raise SimulationError(f"event at t={boundaries[-1]} beyond horizon {horizon}")
+
+    replay = _Replay(net)
+    start = 0
+    if snapshots is not None:
+        times = [row.time for row in table.rows]
+        keys = [(table.rows[: bisect_left(times, a)], a) for a in boundaries]
+        for start in reversed(range(len(keys))):  # ends at 0 when none is stored
+            if keys[start] in snapshots:
+                replay.resume(snapshots[keys[start]])
+                break
+
+    # each interval [a, b) is sampled up to but excluding b, which belongs
+    # to the next one; the horizon closes the run as a zero-length interval
+    # sampled once, on the grid or off it
+    ends = [*boundaries[1:], horizon]
+    for i in range(start, len(boundaries)):
+        if snapshots is not None and keys[i] not in snapshots:
+            snapshots[keys[i]] = replay.snapshot()
+        replay.interval(boundaries[i], ends[i], by_time.get(boundaries[i], ()))
+
     return (
-        water_ids,
-        np.array(water_times),
-        np.array(water_rows),
-        power_ids,
-        np.array(power_times),
-        np.array(power_rows),
+        replay.water_ids,
+        np.array(replay.water_times),
+        np.array(replay.water_rows),
+        replay.power_ids,
+        np.array(replay.power_times),
+        np.array(replay.power_rows),
     )
 
 
@@ -539,11 +623,13 @@ def simulate(
     net: IntegratedNetwork,
     table: EventTable,
     horizon: float | None = None,
+    snapshots: dict | None = None,
 ) -> SimulationResult:
     """Replay an event table and record per-consumer service series.
 
-    Power output is piecewise constant between event timestamps; water
-    is sampled on a global one-minute grid with tank levels integrated
+    Power output is piecewise constant between event timestamps and the
+    moments a tank feeding a generator runs dry or refills; water is
+    sampled on a global one-minute grid with tank levels integrated
     through sub-minute event boundaries. Baseline (normal-operations)
     service comes from an undisrupted pass over the same horizon.
 
@@ -551,7 +637,11 @@ def simulate(
     shared by every later call on it: the undisrupted pass (kept to the
     longest on-grid horizon seen, see ``_baseline_water``) and each
     dispatch, keyed by the power components' in-service flags and the
-    forced-off generators.
+    forced-off generators. ``snapshots`` is a store that replays of
+    ledgers with a common start share: each resumes from the latest
+    event boundary before which its rows match a replay already stored
+    (see ``_run_series``). The caller owns it; the network memo never
+    holds it.
     """
     problems = table.validate()
     if problems:
@@ -563,7 +653,7 @@ def simulate(
             f"horizon {horizon} precedes the last event at {table.last_time()}"
         )
 
-    water_ids, wt, ws, power_ids, pt, ps = _run_series(net, table, horizon)
+    water_ids, wt, ws, power_ids, pt, ps = _run_series(net, table, horizon, snapshots)
     base_ids, bwt, bws = _baseline_water(net, horizon)
     if base_ids != water_ids or not np.array_equal(bwt, wt):
         raise SimulationError("baseline and disrupted sample grids diverged")
@@ -606,22 +696,33 @@ def make_weighted_eoh_evaluator(
     net: IntegratedNetwork,
     scenario: DisasterScenario,
     crews: list[Crew] | None = None,
+    snapshots: dict | None = None,
 ) -> Callable[[dict[str, list[str]]], float]:
     """Score candidate repair orders by simulated weighted outage hours.
 
     Every candidate is simulated to the same fixed horizon (enough for
     all repairs plus a day of recovery) so that partially scheduled
     orders are penalized for whatever they leave broken.
+
+    Candidates share work through two stores that live as long as the
+    evaluator: a ledger seen before is not replayed, and each replay
+    resumes from the snapshot at the last event boundary it shares with
+    an earlier candidate's ledger. Pass ``snapshots`` to keep that store
+    for a later ``simulate`` of the chosen order.
     """
     total_repair = sum(
         repair_duration(net.component(f.component_id).kind) for f in scenario.failures
     )
     horizon = scenario.event.occurrence_time + total_repair + POST_RECOVERY_WINDOW + 3600.0
     horizon = math.ceil(horizon / WATER_SAMPLE_STEP) * WATER_SAMPLE_STEP
+    snapshots = {} if snapshots is None else snapshots
+    scores: dict[tuple[EventRow, ...], float] = {}
 
     def evaluate(order: dict[str, list[str]]) -> float:
         table = build_event_table(net, scenario, order, crews=crews, allow_partial=True)
-        return simulate(net, table, horizon=horizon).weighted_eoh()
+        if table.rows not in scores:
+            scores[table.rows] = simulate(net, table, horizon, snapshots).weighted_eoh()
+        return scores[table.rows]
 
     return evaluate
 
@@ -651,9 +752,11 @@ def run_scenario(
     if crews is None:
         crews = default_crews(net)
     context = build_planning_context(net, crews, failed)
+    snapshots = None
     if strategy == "mpc":
         completion = rank_components(net, failed, "max_flow", context)
-        evaluate = make_weighted_eoh_evaluator(net, scenario, crews=crews)
+        snapshots = {}
+        evaluate = make_weighted_eoh_evaluator(net, scenario, crews=crews, snapshots=snapshots)
         order = mpc_sequence(
             {k: list(v) for k, v in completion.items()},
             mpc_horizon,
@@ -664,4 +767,4 @@ def run_scenario(
         order = rank_components(net, failed, strategy, context)
 
     table = build_event_table(net, scenario, order, crews=crews)
-    return simulate(net, table, horizon=horizon)
+    return simulate(net, table, horizon=horizon, snapshots=snapshots)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
 from lifelinesim.hydraulics import (
@@ -87,6 +89,34 @@ class TestPdaDemand:
         vec = pda_demand(ps, 0.01)
         for p, v in zip(ps, vec):
             assert v == pda_demand(float(p), 0.01)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        cases=st.lists(
+            st.tuples(
+                # pressure in units of pf - p0 above p0: 0 is p0 and 1 is pf
+                st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]), st.floats(-1.5, 2.5)),
+                st.one_of(st.floats(0.0, 10.0), st.integers(0, 10)),  # desired demand
+                st.floats(-10.0, 10.0),  # p0
+                st.floats(1e-3, 50.0),  # pf - p0
+                st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.1, 8.0)),  # exponent
+            ),
+            min_size=1, max_size=20,
+        )
+    )
+    def test_scalar_path_matches_numpy_path(self, cases):
+        # two scalars take the plain-float path and 0-d arrays numpy's; the
+        # served demand of a solve is built from scalars, so they must agree
+        # to the bit (n-d arrays may round the power differently)
+        for x, desired, p0, span, e in cases:
+            pressure, pf = p0 + x * span, p0 + span
+            scalar = pda_demand(pressure, desired, p0, pf, e)
+            assert type(scalar) is float
+            assert scalar == float(pda_demand(np.array(pressure), np.array(desired), p0, pf, e))
+            if pressure <= p0:
+                assert scalar == 0.0
+            elif pressure >= pf:
+                assert scalar == desired
 
 
 class TestTriangleNetwork:

@@ -388,29 +388,78 @@ class TestSimulate:
             result.series("gas")
 
     def test_dry_tank_forces_its_generator_off(self):
-        # PGEN on B9 is fed by tank WT1; once PL5 is out it is PM1's only supply
-        base = build_simple_testbed()
-        pgen = Component("PGEN", POWER, "generator", (-500.0, -320.0),
-                         {"max_mw": 5.0, "cost": 1.0}, buses=("B9",))
-        net = IntegratedNetwork(
-            [*base.components, pgen],
-            [*base.dependencies, Dependency("WT1", "PGEN", "reservoir_feeds_generator")],
-            od_matrix=base.od_matrix, zone_priority=base.zone_priority,
-        )
-        table = EventTable((
-            EventRow(3600.0, "WPU1", ACTION_FAIL),
-            EventRow(3600.0, "PL5", ACTION_FAIL),
-            EventRow(10000.0, "TL-T5-T6", ACTION_FAIL),
-            EventRow(40000.0, "PL5", ACTION_REPAIR_START, "power-crew-1"),
-            EventRow(50000.0, "PL5", ACTION_REPAIR_END, "power-crew-1"),
-        ))
-        result = simulate(net, table, horizon=60000.0)
+        # PGEN on B9 is fed by tank WT1; once PL5 is out it is PM1's only
+        # supply, so PM1 goes dark the minute WT1 runs dry, between events
+        net = _dry_tank_net()
+        result = simulate(net, EventTable(DRY_TANK_ROWS), horizon=60000.0)
 
         water = result.water
-        assert np.all(water.supplied[water.times >= 6300.0] == 0.0)
+        dry_at = water.times[np.argmax(np.all(water.supplied == 0.0, axis=1))]
+        assert dry_at == 6300.0
+        assert np.all(water.supplied[water.times >= dry_at] == 0.0)
         pm1 = result.power.consumers.index("PM1")
         served = dict(zip(result.power.times, result.power.supplied[:, pm1]))
-        assert [served[t] for t in (3600.0, 10000.0, 40000.0, 50000.0)] == [2.0, 0.0, 0.0, 2.0]
+        assert served == {0.0: 2.0, 3600.0: 2.0, dry_at: 0.0, 40000.0: 0.0, 50000.0: 2.0, 60000.0: 2.0}
+
+    def test_dry_tank_with_no_later_event(self):
+        # nothing happens after the failures: the tank alone cuts PM1
+        result = simulate(_dry_tank_net(), EventTable(DRY_TANK_ROWS[:2]), horizon=20000.0)
+        pm1 = result.power.consumers.index("PM1")
+        served = dict(zip(result.power.times, result.power.supplied[:, pm1]))
+        assert served == {0.0: 2.0, 3600.0: 2.0, 6300.0: 0.0, 20000.0: 0.0}
+        assert np.all(result.water.supplied[result.water.times >= 6300.0] == 0.0)
+
+    def test_replays_resume_across_horizons_and_ledgers(self, monkeypatch):
+        # the same ledger at two horizons, then ledgers that leave it after
+        # the tank ran dry (at 6300 s) and after the repair: every one is
+        # resumed from the shared store and equals a fresh replay
+        net = _dry_tank_net()
+        repair_wpu1 = (
+            EventRow(45000.0, "WPU1", ACTION_REPAIR_START, "water-crew-1"),
+            EventRow(53000.0, "WPU1", ACTION_REPAIR_END, "water-crew-1"),
+        )
+        cases = [
+            (DRY_TANK_ROWS, 60000.0),
+            (DRY_TANK_ROWS, 70020.0),
+            (DRY_TANK_ROWS, None),
+            (DRY_TANK_ROWS + repair_wpu1, 60000.0),
+            (DRY_TANK_ROWS[:2] + repair_wpu1, 60000.0),
+            (DRY_TANK_ROWS + (EventRow(50000.0, "WP-W6-W9", ACTION_FAIL),), 60000.0),
+        ]
+        resumes = []
+        resume = simulation._Replay.resume
+        monkeypatch.setattr(simulation._Replay, "resume",
+                            lambda replay, snap: resumes.append(snap) or resume(replay, snap))
+        store: dict = {}
+        for rows, horizon in cases:
+            table = EventTable(rows)
+            got = simulate(net, table, horizon, store)
+            want = simulate(_dry_tank_net(), table, horizon)
+            for a, b in ((got.water, want.water), (got.power, want.power)):
+                assert np.array_equal(a.times, b.times) and np.array_equal(a.supplied, b.supplied)
+            assert got.weighted_eoh() == want.weighted_eoh()
+        assert len(resumes) == len(cases) - 1
+
+
+# WT1 drains once WPU1 fails; PL5 is PM1's feeder line
+DRY_TANK_ROWS = (
+    EventRow(3600.0, "WPU1", ACTION_FAIL),
+    EventRow(3600.0, "PL5", ACTION_FAIL),
+    EventRow(40000.0, "PL5", ACTION_REPAIR_START, "power-crew-1"),
+    EventRow(50000.0, "PL5", ACTION_REPAIR_END, "power-crew-1"),
+)
+
+
+def _dry_tank_net():
+    """The testbed plus generator PGEN (5 MW on B9), fed by tank WT1."""
+    base = build_simple_testbed()
+    pgen = Component("PGEN", POWER, "generator", (-500.0, -320.0),
+                     {"max_mw": 5.0, "cost": 1.0}, buses=("B9",))
+    return IntegratedNetwork(
+        [*base.components, pgen],
+        [*base.dependencies, Dependency("WT1", "PGEN", "reservoir_feeds_generator")],
+        od_matrix=base.od_matrix, zone_priority=base.zone_priority,
+    )
 
 
 class TestRunScenario:
