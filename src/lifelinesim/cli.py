@@ -242,8 +242,11 @@ def _batch_worker(payload: tuple) -> dict:
             "n_failures": len(scenario.failures),
             "per_strategy": {},
         }
+        # strategies of one scenario share their ledgers' leading events,
+        # so each resumes the replay where an earlier one's ledger diverges
+        snapshots: dict = {}
         for strategy in strategies:
-            result = run_scenario(net, scenario, strategy, mpc_horizon=mpc_horizon)
+            result = run_scenario(net, scenario, strategy, mpc_horizon=mpc_horizon, snapshots=snapshots)
             record["per_strategy"][strategy] = {
                 "eoh_water": result.eoh(WATER),
                 "eoh_power": result.eoh(POWER),

@@ -17,8 +17,9 @@ Units are SI throughout: flows m3/s, heads/pressures m of water column.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -547,6 +548,12 @@ def solve_hydraulics(
     Statuses stay fixed for the whole run; the returned list holds
     duration/step + 1 states (the initial steady state included) with
     tank levels integrated between them.
+
+    Once the simulator is frozen (``WaterSimulator.is_frozen``), a step
+    and a solve would return the same state, so each later state is a
+    copy of the last one at its own time, with its own dicts and lists.
+    A repeated state keeps the ``residual`` and ``iterations`` of the
+    solve it copies.
     """
     if step <= 0 or duration < 0:
         raise ValueError("duration must be >= 0 and step > 0")
@@ -557,6 +564,11 @@ def solve_hydraulics(
     sim.set_statuses(component_statuses)
     states = [sim.solve(0.0)]
     for k in range(1, int(round(n)) + 1):
+        if sim.is_frozen():
+            last = states[-1]
+            own = {f: copy.copy(v) for f, v in vars(last).items() if isinstance(v, (dict, list))}
+            states.append(replace(last, time=k * step, **own))
+            continue
         sim.advance(step)
         states.append(sim.solve(k * step))
     return states

@@ -548,8 +548,11 @@ def _run_series(
 
     With a ``snapshots`` store the replay starts from the latest boundary
     ``a`` stored under (rows before ``a``, ``a``) and stores a snapshot
-    under that key at each later boundary it reaches. Without one it
-    builds no keys and takes no snapshots.
+    under that key at each later boundary it reaches. The state at ``a``
+    depends on nothing else, so replays of any ledgers and horizons on
+    ``net`` may share one store; a ledger replayed before, to the same
+    horizon, resumes at the horizon itself. Without a store it builds no
+    keys and takes no snapshots.
     """
     by_time = _status_timeline(table)
     boundaries = sorted({0.0, horizon, *by_time})
@@ -734,12 +737,19 @@ def run_scenario(
     crews: list[Crew] | None = None,
     mpc_horizon: int = 2,
     horizon: float | None = None,
+    snapshots: dict | None = None,
 ) -> SimulationResult:
     """Rank repairs, schedule crews, and simulate one disaster scenario.
 
     ``strategy`` is one of the ranking heuristics or ``"mpc"``, which
     searches ``mpc_horizon``-step repair prefixes by simulated weighted
     outage hours (completing each candidate with the max_flow order).
+
+    ``snapshots`` is a replay store (see ``simulate``) that the caller
+    shares between runs of one scenario, such as its strategies in a
+    batch: each replay, mpc candidates included, resumes from the latest
+    event boundary before which its ledger matches one already replayed
+    into the store. An mpc run without one uses a store of its own.
     """
     if strategy != "mpc" and strategy not in STRATEGIES:
         raise RecoveryError(
@@ -747,15 +757,15 @@ def run_scenario(
         )
     failed = {f.component_id for f in scenario.failures}
     if not failed:
-        return simulate(net, EventTable(()), horizon=horizon)
+        return simulate(net, EventTable(()), horizon=horizon, snapshots=snapshots)
 
     if crews is None:
         crews = default_crews(net)
     context = build_planning_context(net, crews, failed)
-    snapshots = None
     if strategy == "mpc":
         completion = rank_components(net, failed, "max_flow", context)
-        snapshots = {}
+        if snapshots is None:
+            snapshots = {}
         evaluate = make_weighted_eoh_evaluator(net, scenario, crews=crews, snapshots=snapshots)
         order = mpc_sequence(
             {k: list(v) for k, v in completion.items()},

@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
+import csv
 import json
 
 import pytest
 
 from lifelinesim import cli
+from lifelinesim.hazard import HazardEvent, sample_scenario
+from lifelinesim.network import POWER, WATER
+from lifelinesim.simulation import run_scenario
+from lifelinesim.testbed import build_simple_testbed
 
 
 def run_cli(*argv):
@@ -146,6 +151,32 @@ class TestBatch:
             assert read_bytes(tmp_path / "serial" / name) == read_bytes(
                 tmp_path / "parallel" / name
             )
+
+    def test_mpc_batch_matches_runs_without_a_store(self, tmp_path):
+        args = (
+            "batch", "--hazard", "random", "--count", "6", "--intensity", "extreme",
+            "--seed", "1", "--scenarios", "2", "--strategy", "max_flow,mpc",
+        )
+        assert run_cli(*args, "--jobs", "1", "--out", str(tmp_path / "serial")) == 0
+        assert run_cli(*args, "--jobs", "2", "--out", str(tmp_path / "parallel")) == 0
+        for name in ("batch_summary.csv", "stats.json"):
+            assert read_bytes(tmp_path / "serial" / name) == read_bytes(
+                tmp_path / "parallel" / name
+            )
+
+        net = build_simple_testbed()
+        event = HazardEvent(kind="random", intensity="extreme", count=6)
+        with open(tmp_path / "serial" / "batch_summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["seed"], r["strategy"]) for r in rows] == [
+            ("1", "max_flow"), ("1", "mpc"), ("2", "max_flow"), ("2", "mpc"),
+        ]
+        for r in rows:
+            scenario = sample_scenario(net, event, seed=int(r["seed"]))
+            result = run_scenario(net, scenario, r["strategy"])
+            assert [float(r["eoh_water"]), float(r["eoh_power"]), float(r["eoh_weighted"])] == [
+                result.eoh(WATER), result.eoh(POWER), result.weighted_eoh(),
+            ]
 
     def test_unloadable_network_fails_once_without_files(self, tmp_path, caplog):
         out = tmp_path / "out"

@@ -213,6 +213,41 @@ class TestTankDynamics:
         sim.advance(60.0)
         assert sim.tank_level == {"WT": 2.0}
 
+    @pytest.mark.parametrize("case", ["testbed", "drain", "failed_pump"])
+    def test_frozen_minutes_repeat_the_stepped_states(self, monkeypatch, net, tank_net, case):
+        model, statuses = {
+            "testbed": (net, {}),
+            "drain": (tank_net, {}),  # frozen once the tank runs dry
+            "failed_pump": (net, {"WPU1": "failed"}),
+        }[case]
+        jumped = solve_hydraulics(model, statuses, 3600.0, 60.0)
+        monkeypatch.setattr(WaterSimulator, "is_frozen", lambda sim: False)
+        stepped = solve_hydraulics(model, statuses, 3600.0, 60.0)
+        assert len(jumped) == len(stepped) == 61
+        kept = [f for f in vars(jumped[0]) if f not in ("residual", "iterations")]
+        for got, want in zip(jumped, stepped):
+            assert {f: getattr(got, f) for f in kept} == {f: getattr(want, f) for f in kept}
+        for prev, cur in zip(jumped, jumped[1:]):
+            assert all(
+                getattr(cur, f) is not getattr(prev, f)
+                for f in kept
+                if isinstance(getattr(cur, f), (dict, list))
+            )
+
+    def test_undisrupted_testbed_hour_solves_once(self, monkeypatch, net):
+        calls = []
+        solve = WaterSimulator.solve
+
+        def counted(sim, *args, **kwargs):
+            calls.append(args)
+            return solve(sim, *args, **kwargs)
+
+        monkeypatch.setattr(WaterSimulator, "solve", counted)
+        states = solve_hydraulics(net, {}, 3600.0, 60.0)
+        assert len(calls) == 1
+        assert [s.time for s in states] == [60.0 * k for k in range(61)]
+        assert {s.iterations for s in states} == {states[0].iterations}
+
 
 class TestFailuresAndLeaks:
     def test_leaking_pipe_discharges(self, triangle_net):

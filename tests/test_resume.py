@@ -1,12 +1,13 @@
 """An mpc run resumes its candidate replays and its final run from one
-snapshot store; each equals a fresh replay, and the store dies with the
-run. (Resumption across horizons and the dry-tank coupling are tested in
-``test_simulation.py``.)"""
+snapshot store, and the strategies of a batch scenario share one; each
+replay equals a fresh replay, and the store dies with the run or the
+scenario. (Resumption across horizons and the dry-tank coupling are
+tested in ``test_simulation.py``.)"""
 
 import numpy as np
 import pytest
 
-from lifelinesim import simulation
+from lifelinesim import cli, simulation
 from lifelinesim.hazard import HazardEvent, sample_scenario
 from lifelinesim.simulation import run_scenario
 from lifelinesim.testbed import build_simple_testbed
@@ -41,10 +42,7 @@ def _count_resumes(monkeypatch):
     return resumes
 
 
-@pytest.mark.parametrize("seed", [1, 2, 12])
-def test_mpc_replays_match_fresh_replays(monkeypatch, seed):
-    net = build_simple_testbed()
-    scenario = _mpc_scenario(net, seed)
+def _recording_simulate(monkeypatch):
     calls = []
     real = simulation.simulate
 
@@ -54,6 +52,14 @@ def test_mpc_replays_match_fresh_replays(monkeypatch, seed):
         return result
 
     monkeypatch.setattr(simulation, "simulate", recording)
+    return calls, real
+
+
+@pytest.mark.parametrize("seed", [1, 2, 12])
+def test_mpc_replays_match_fresh_replays(monkeypatch, seed):
+    net = build_simple_testbed()
+    scenario = _mpc_scenario(net, seed)
+    calls, real = _recording_simulate(monkeypatch)
     resumes = _count_resumes(monkeypatch)
     final = run_scenario(net, scenario, "mpc")
 
@@ -95,3 +101,49 @@ def test_runs_without_a_store_take_no_snapshots(monkeypatch):
     monkeypatch.setattr(simulation._Replay, "snapshot", refuse)
     net = build_simple_testbed()
     run_scenario(net, _mpc_scenario(net, 1), "max_flow")
+
+
+BATCH_STRATEGIES = ("max_flow", "centrality", "zone")
+
+
+@pytest.mark.parametrize("seed", range(100, 116))
+def test_batch_strategies_share_one_store(monkeypatch, seed):
+    net = build_simple_testbed()
+    event = HazardEvent(kind="random", intensity="random", count=3)
+    scenario = sample_scenario(net, event, seed=seed)
+    calls, real = _recording_simulate(monkeypatch)
+    resumes = _count_resumes(monkeypatch)
+    store: dict = {}
+    per_strategy = []
+    for strategy in BATCH_STRATEGIES:
+        result = run_scenario(net, scenario, strategy, snapshots=store)
+        per_strategy.append(len(resumes))
+        assert calls[-1][3] is result and calls[-1][2] is store
+        _assert_same_replay(result, real(build_simple_testbed(), result.event_table))
+    # the first strategy fills the store; each later one resumes from it
+    assert per_strategy == [0, 1, 2]
+
+
+def test_mpc_after_a_heuristic_resumes_from_its_replay(monkeypatch):
+    net = build_simple_testbed()
+    scenario = _mpc_scenario(net, 1)
+    calls, real = _recording_simulate(monkeypatch)
+    resumes = _count_resumes(monkeypatch)
+    store: dict = {}
+    run_scenario(net, scenario, "max_flow", snapshots=store)
+    final = run_scenario(net, scenario, "mpc", snapshots=store)
+    assert all(snapshots is store for _, _, snapshots, _ in calls)
+    # the first candidate resumes after the failures, which the max_flow
+    # ledger shares, rather than replaying from t = 0
+    assert len(resumes) == len(calls) - 1 and resumes[0] > 0
+    _assert_same_replay(final, real(build_simple_testbed(), final.event_table))
+
+
+def test_a_batch_scenario_shares_one_store_that_dies_with_it(monkeypatch):
+    net = build_simple_testbed()
+    event = HazardEvent(kind="random", intensity="extreme", count=6)
+    calls, _ = _recording_simulate(monkeypatch)
+    record = cli._batch_worker((net, 0, 2, ["max_flow", "zone", "mpc"], event, 1.0, 2))
+    assert "error" not in record
+    assert len({id(store) for *_, store, _ in calls}) == 1 and calls[0][2] is not None
+    assert {key[0] for key in net._memo} <= MEMO_KINDS
