@@ -5,8 +5,6 @@ receives at a given pressure, then solves the testbed's water network
 intact and with a leaking main to compare served demand.
 """
 
-import numpy as np
-
 from lifelinesim import build_simple_testbed, pda_demand, solve_hydraulics
 
 

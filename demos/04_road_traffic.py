@@ -6,7 +6,7 @@ the same travel times repair crews face after a disaster.
 """
 
 from lifelinesim import assign_traffic, build_simple_testbed
-from lifelinesim.traffic import shortest_travel_time
+from lifelinesim.traffic import road_distances
 
 
 def summarize(state, label, top=5):
@@ -32,8 +32,8 @@ def main():
     summarize(broken, f"{cut} failed")
 
     print("\n=== crew travel time T5 -> T1 ===")
-    for label, state in (("intact", intact), (f"{cut} failed", broken)):
-        t = shortest_travel_time(state, "T5", "T1")
+    for label, statuses, state in (("intact", {}, intact), (f"{cut} failed", {cut: "failed"}, broken)):
+        t = road_distances(net, "T5", statuses, state.link_time)["T1"]
         print(f"  {label}: {t:.1f} s")
 
 

@@ -148,12 +148,13 @@ def _write_performance(path: Path, result: SimulationResult) -> None:
 
 
 def _eoh_block(result: SimulationResult) -> dict:
+    water, power = result.eoh(WATER, "pcs"), result.eoh(POWER, "pcs")
     return {
-        "water_pcs": result.eoh(WATER, "pcs"),
+        "water_pcs": water,
         "water_ecs": result.eoh(WATER, "ecs"),
-        "power_pcs": result.eoh(POWER, "pcs"),
+        "power_pcs": power,
         "power_ecs": result.eoh(POWER, "ecs"),
-        "weighted_pcs": result.weighted_eoh(),
+        "weighted_pcs": metrics.weighted_eoh({WATER: water, POWER: power}),
     }
 
 
@@ -247,10 +248,11 @@ def _batch_worker(payload: tuple) -> dict:
         snapshots: dict = {}
         for strategy in strategies:
             result = run_scenario(net, scenario, strategy, mpc_horizon=mpc_horizon, snapshots=snapshots)
+            water, power = result.eoh(WATER), result.eoh(POWER)
             record["per_strategy"][strategy] = {
-                "eoh_water": result.eoh(WATER),
-                "eoh_power": result.eoh(POWER),
-                "eoh_weighted": result.weighted_eoh(),
+                "eoh_water": water,
+                "eoh_power": power,
+                "eoh_weighted": metrics.weighted_eoh({WATER: water, POWER: power}),
             }
         return record
     except _STAGE_ERRORS as exc:

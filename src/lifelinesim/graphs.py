@@ -21,6 +21,8 @@ def dijkstra(adj: Adjacency, source: str) -> tuple[dict[str, float], dict[str, t
     edge_id) on the shortest path tree. Unreachable nodes are absent
     from both maps. Equal-length paths resolve to the first strict
     improvement found, which is deterministic for a fixed adjacency.
+    No solver calls it: it is the reference that the compiled road
+    graph in ``traffic`` is tested against.
     """
     dist: dict[str, float] = {source: 0.0}
     pred: dict[str, tuple[str, str]] = {}
@@ -40,14 +42,6 @@ def dijkstra(adj: Adjacency, source: str) -> tuple[dict[str, float], dict[str, t
                 pred[nbr] = (node, eid)
                 heapq.heappush(heap, (nd, nbr))
     return dist, pred
-
-
-def shortest_path_length(adj: Adjacency, source: str, target: str) -> float:
-    """Shortest travel cost between two nodes, math.inf if disconnected."""
-    if source == target:
-        return 0.0
-    dist, _ = dijkstra(adj, source)
-    return dist.get(target, math.inf)
 
 
 def connected_components(nodes: list[str], edges: list[tuple[str, str]]) -> list[set[str]]:

@@ -376,34 +376,7 @@ def validate_network(net: IntegratedNetwork) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# adjacency builders shared by solvers, schedulers, and validation
-
-
-def traffic_adjacency(
-    net: IntegratedNetwork,
-    component_statuses: dict[str, str] | None = None,
-    link_times: dict[str, float] | None = None,
-    failed_factor: float | None = None,
-) -> graphs.Adjacency:
-    """Directed road adjacency weighted by travel time.
-
-    Weight defaults to free-flow time, overridden per link by
-    ``link_times`` (congested times from an assignment). Out-of-service
-    links are skipped unless ``failed_factor`` is given, in which case
-    they stay traversable at factor x free-flow time (crew routing
-    fallback when no road crew can clear the way).
-    """
-    statuses = component_statuses or {}
-    adj: graphs.Adjacency = {c.id: [] for c in net.nodes_of(TRAFFIC)}
-    for link in net.components_of(TRAFFIC, "road_link"):
-        status = statuses.get(link.id, link.status)
-        a, b = link.ends
-        if status in IN_SERVICE:
-            t = (link_times or {}).get(link.id, link.attrs["free_flow_time"])
-            adj[a].append((b, t, link.id))
-        elif failed_factor is not None:
-            adj[a].append((b, failed_factor * link.attrs["free_flow_time"], link.id))
-    return adj
+# locations shared by the hazard sampler and the crew schedulers
 
 
 def component_location(comp: Component, net: IntegratedNetwork) -> tuple[float, float]:

@@ -10,7 +10,6 @@ pipeline, and commits one repair at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable
@@ -23,10 +22,9 @@ from .network import (
     TRAFFIC,
     IntegratedNetwork,
     access_node,
-    traffic_adjacency,
 )
 from .powerflow import solve_power
-from .traffic import TrafficAssignmentError, assign_traffic, link_times_key
+from .traffic import assign_traffic, link_times_key, road_distances
 
 STRATEGIES = ("max_flow", "centrality", "crew_distance", "zone")
 
@@ -90,19 +88,13 @@ class PlanningContext:
 
 def _post_failure_travel(net, statuses) -> Callable[[str, str], float]:
     """Congested origin->destination times under current road conditions."""
-    try:
-        times = net.cached(
-            link_times_key(net, statuses), lambda: assign_traffic(net, statuses).link_time
-        )
-    except TrafficAssignmentError:
-        times = None  # fall back to free-flow weights
-    adj = traffic_adjacency(net, statuses, times)
+    times = net.cached(link_times_key(net, statuses), lambda: assign_traffic(net, statuses).link_time)
     dist_cache: dict[str, dict[str, float]] = {}
 
     def travel(origin: str, destination: str) -> float:
         if origin not in dist_cache:
-            dist_cache[origin] = graphs.dijkstra(adj, origin)[0]
-        return dist_cache[origin].get(destination, math.inf)
+            dist_cache[origin] = road_distances(net, origin, statuses, times)
+        return dist_cache[origin][destination]
 
     return travel
 

@@ -45,7 +45,6 @@ from .network import (
     IntegratedNetwork,
     access_node,
     check_transition,
-    traffic_adjacency,
 )
 from .powerflow import PowerFlowError, dispatch_key, motor_operational, solve_power
 from .recovery import (
@@ -58,8 +57,7 @@ from .recovery import (
     rank_components,
     repair_duration,
 )
-from .traffic import TrafficAssignmentError, assign_traffic, link_times_key
-from . import graphs
+from .traffic import TrafficAssignmentError, assign_traffic, link_times_key, road_distances
 
 ACTION_FAIL = "fail"
 ACTION_REPAIR_START = "repair_start"
@@ -289,14 +287,10 @@ def build_event_table(
             statuses[link_id] = STATUS_REPAIRED
             link_times = refresh_times()
 
-    def reach_from(location: str, factor: float | None = None) -> dict[str, float]:
-        adj = traffic_adjacency(net, statuses, link_times, failed_factor=factor)
-        return graphs.dijkstra(adj, location)[0]
-
     def first_accessible(crew: Crew, factor: float | None = None) -> tuple[str, float] | None:
-        dist = reach_from(crew.location, factor)
+        dist = road_distances(net, crew.location, statuses, link_times, factor)
         for cid in pending[crew.network]:
-            travel = dist.get(access_node(net, cid), math.inf)
+            travel = dist[access_node(net, cid)]
             if math.isfinite(travel):
                 return cid, travel
         return None
@@ -322,11 +316,10 @@ def build_event_table(
         if road_crew is None or TRAFFIC not in pending:
             return False
         apply_openings(road_crew.busy_until)
-        adj = traffic_adjacency(net, statuses, None, failed_factor=BLOCKED_ROAD_FACTOR)
-        dist = graphs.dijkstra(adj, road_crew.location)[0]
+        dist = road_distances(net, road_crew.location, statuses, failed_factor=BLOCKED_ROAD_FACTOR)
         best = None
         for cid in pending[TRAFFIC]:
-            travel = dist.get(access_node(net, cid), math.inf)
+            travel = dist[access_node(net, cid)]
             if best is None or (travel, cid) < best[:2]:
                 best = (travel, cid)
         travel, cid = best

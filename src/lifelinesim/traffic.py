@@ -7,6 +7,9 @@ minimizes the Beckmann objective, so the objective never increases.
 The all-or-nothing step makes one multi-source Dijkstra over all origins
 and keeps the shortest-path trees of ``graphs.dijkstra``'s tie rule, so
 its loads equal those of one heap Dijkstra per origin to the bit.
+Repair crews are routed on the same compiled road graph
+(``RoadGraph``), kept once per network over all road links and weighted
+per query by ``road_distances``.
 OD pairs with no usable path are skipped and reported rather than
 failing the assignment, since damaged road networks are the normal case
 here.
@@ -15,14 +18,13 @@ here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from . import graphs
 from .network import IN_SERVICE, IntegratedNetwork, TRAFFIC
 
 
@@ -46,7 +48,6 @@ class TrafficState:
     iterations: int
     unreachable: list[tuple[str, str]]
     beckmann_history: list[float]
-    _adjacency: graphs.Adjacency = field(repr=False, default_factory=dict)
 
 
 def _bpr(x, t0, cap, prm: TrafficParams):
@@ -59,40 +60,100 @@ def _beckmann(x, t0, cap, prm: TrafficParams) -> float:
     )
 
 
+class RoadGraph:
+    """A fixed set of road links compiled for shortest-path queries.
+
+    Nodes are indexed in sorted-id order and each link has a tail and a
+    head index. The CSR matrix has one entry per (tail, head) pair,
+    which ``distances`` sets to the cheapest of that pair's parallel
+    links. With positive times each distance is the minimum over
+    in-links of ``dist[u] + w``, so it equals ``graphs.dijkstra``'s.
+    """
+
+    def __init__(self, links: list, nodes):
+        self.links = links
+        self.nodes = sorted(nodes)
+        self.index = {z: i for i, z in enumerate(self.nodes)}
+        self.tail = np.array([self.index[c.ends[0]] for c in links], dtype=np.intp)
+        self.head = np.array([self.index[c.ends[1]] for c in links], dtype=np.intp)
+        nn = len(self.nodes)
+        self._by_pair = np.lexsort((self.head, self.tail))
+        tails, heads = self.tail[self._by_pair], self.head[self._by_pair]
+        self._pair_start = np.flatnonzero(np.diff(tails * nn + heads, prepend=-1))
+        indptr = np.searchsorted(tails[self._pair_start], np.arange(nn + 1))
+        self.csr = csr_matrix((np.ones(len(self._pair_start)), heads[self._pair_start], indptr), shape=(nn, nn))
+
+    def distances(self, times: np.ndarray, origins) -> np.ndarray:
+        """Shortest travel times from each origin index (rows) to every
+        node, inf where cut off; ``times`` has one entry per link, inf
+        where the link is impassable."""
+        self.csr.data[:] = np.minimum.reduceat(times[self._by_pair], self._pair_start)
+        return dijkstra(self.csr, directed=True, indices=origins)
+
+
+def road_distances(
+    net: IntegratedNetwork,
+    origin: str,
+    component_statuses: dict[str, str],
+    link_times: dict[str, float] | None = None,
+    failed_factor: float | None = None,
+) -> dict[str, float]:
+    """Shortest travel time from ``origin`` to every traffic node, inf
+    where cut off.
+
+    An in-service link takes its time in ``link_times`` (congested
+    times from an assignment), else its free-flow time. An
+    out-of-service link costs ``failed_factor`` x free-flow time (crews
+    crossing a blocked road), or is impassable without a factor.
+    """
+    # one graph per network: ``distances`` rewrites every weight it reads
+    road = net.cached(
+        ("road_graph",),
+        lambda: RoadGraph(
+            sorted(net.components_of(TRAFFIC, "road_link"), key=lambda c: c.id),
+            [z.id for z in net.nodes_of(TRAFFIC)],
+        ),
+    )
+    if origin not in road.index:
+        raise ValueError(f"{origin!r} is not a traffic node")
+    times = link_times or {}
+    weights = np.array(
+        [
+            times.get(c.id, c.attrs["free_flow_time"])
+            if component_statuses.get(c.id, c.status) in IN_SERVICE
+            else math.inf
+            if failed_factor is None
+            else failed_factor * c.attrs["free_flow_time"]
+            for c in road.links
+        ]
+    )
+    return dict(zip(road.nodes, road.distances(weights, road.index[origin]).tolist()))
+
+
 class _AllOrNothing:
     """All-or-nothing loads on one assignment's fixed road topology.
 
-    Compiled once per assignment: zones indexed in sorted-id order, the
-    links' tail/head indexes, a CSR skeleton with one entry per
-    (tail, head) pair, and the OD pairs split into reachable and
-    unreachable ones. Each call makes one multi-source Dijkstra and
-    recovers the shortest-path trees ``graphs.dijkstra`` builds.
+    Compiled once per assignment: the in-service links' ``RoadGraph``
+    and the OD pairs split into reachable and unreachable ones. Each
+    call makes one multi-source Dijkstra and recovers the shortest-path
+    trees ``graphs.dijkstra`` builds.
     """
 
     def __init__(self, links: list, demands: list[tuple[str, str, float]], zone_ids: list[str]):
-        nodes = sorted(set(zone_ids).union(*((o, d) for o, d, _ in demands)))
-        index = {z: i for i, z in enumerate(nodes)}
-        self.nodes = nodes
-        self._tail = np.array([index[c.ends[0]] for c in links], dtype=np.intp)
-        self._head = np.array([index[c.ends[1]] for c in links], dtype=np.intp)
+        self.road = RoadGraph(links, set(zone_ids).union(*((o, d) for o, d, _ in demands)))
+        index = self.road.index
+        self.nodes = self.road.nodes
+        self._tail, self._head = self.road.tail, self.road.head
         # heap tie order among equal-distance tails: tail id, then link
         # order; the last entry stands for "no link"
         self._by_rank = np.r_[np.argsort(self._tail, kind="stable"), -1]
         self._rank = np.argsort(self._by_rank[:-1])
-        # CSR skeleton: parallel links collapse to one entry, the cheapest
-        self._by_pair = np.lexsort((self._head, self._tail))
-        tails, heads = self._tail[self._by_pair], self._head[self._by_pair]
-        self._pair_start = np.flatnonzero(np.diff(tails * len(nodes) + heads, prepend=-1))
-        indptr = np.searchsorted(tails[self._pair_start], np.arange(len(nodes) + 1))
-        self._graph = csr_matrix(
-            (np.ones(len(self._pair_start)), heads[self._pair_start], indptr), shape=(len(nodes), len(nodes))
-        )
 
         orig = np.array([index[o] for o, _, _ in demands], dtype=np.intp)
         dest = np.array([index[d] for _, d, _ in demands], dtype=np.intp)
         self.origins = np.unique(orig)
         row = np.searchsorted(self.origins, orig)
-        hops = dijkstra(self._graph, directed=True, indices=self.origins, unweighted=True)
+        hops = dijkstra(self.road.csr, directed=True, indices=self.origins, unweighted=True)
         reach = np.isfinite(hops[row, dest])
         self.unreachable = [(o, d) for (o, d, _), ok in zip(demands, reach) if not ok]
         # a zone's demand to itself loads no link and adds 0 to the SPTT
@@ -100,15 +161,10 @@ class _AllOrNothing:
         self._orig, self._dest, self._row = orig[load], dest[load], row[load]
         self._volume = np.array([v for _, _, v in demands])[load]
 
-    def distances(self, times: np.ndarray) -> np.ndarray:
-        """Shortest travel times from each origin (rows) to every node."""
-        self._graph.data[:] = np.minimum.reduceat(times[self._by_pair], self._pair_start)
-        return dijkstra(self._graph, directed=True, indices=self.origins)
-
     def __call__(self, times: np.ndarray) -> tuple[np.ndarray, float]:
         """Load all demand on current shortest paths; also returns the
         total shortest-path travel time (SPTT)."""
-        dist = self.distances(times)
+        dist = self.road.distances(times, self.origins)
         nn = len(self.nodes)
         # Predecessor link of each node: graphs.dijkstra keeps the first
         # strict improvement, and with positive weights nodes settle in
@@ -148,13 +204,6 @@ class _AllOrNothing:
         return y, sptt
 
 
-def _adjacency(links: list, zone_ids: list[str], times: np.ndarray) -> graphs.Adjacency:
-    adj: graphs.Adjacency = {z: [] for z in zone_ids}
-    for k, c in enumerate(links):
-        adj[c.ends[0]].append((c.ends[1], float(times[k]), c.id))
-    return adj
-
-
 def assign_traffic(
     net: IntegratedNetwork,
     component_statuses: dict[str, str] | None = None,
@@ -187,8 +236,7 @@ def assign_traffic(
         unreachable = [(o, d) for o, d, _ in demands]
         state_flow = {c.id: 0.0 for c in links}
         state_time = {c.id: float(t0[k]) for k, c in enumerate(links)}
-        adj = _adjacency(links, zone_ids, t0)
-        return TrafficState(state_flow, state_time, 0.0, 0, sorted(unreachable), history, adj)
+        return TrafficState(state_flow, state_time, 0.0, 0, sorted(unreachable), history)
 
     all_or_nothing = _AllOrNothing(links, demands, zone_ids)
     x, _ = all_or_nothing(t0)
@@ -226,7 +274,6 @@ def assign_traffic(
         iterations=it,
         unreachable=sorted(all_or_nothing.unreachable),
         beckmann_history=history,
-        _adjacency=_adjacency(links, zone_ids, times),
     )
 
 
@@ -235,7 +282,3 @@ def link_times_key(net: IntegratedNetwork, component_statuses: dict[str, str]) -
     with its default parameters: the road links' in-service flags."""
     return ("link_times", net.service_key(TRAFFIC, component_statuses))
 
-
-def shortest_travel_time(state: TrafficState, origin: str, destination: str) -> float:
-    """Congested shortest travel time between two zones, inf if cut off."""
-    return graphs.shortest_path_length(state._adjacency, origin, destination)

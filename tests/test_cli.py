@@ -92,6 +92,34 @@ class TestRun:
             run_cli("run", "--hazard", "point", "--seed", "1", "--out", str(tmp_path))
         assert err.value.code == 2
 
+    def test_track_hazard(self, tmp_path):
+        track = tmp_path / "track.json"
+        track.write_text("[[0, 1000], [2000, 1000]]")
+        out = tmp_path / "results"
+        code = run_cli(
+            "run", "--hazard", "track", "--track", str(track), "--offset", "300",
+            "--intensity", "extreme", "--seed", "1", "--out", str(out),
+        )
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["hazard_kind"] == "track"
+        assert len(report["failures"]) == 6
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[[0, 1000]]", "a track needs at least two vertices"), ("not json", "cannot read track file")],
+    )
+    def test_bad_track_file_is_usage_error(self, tmp_path, capsys, text, message):
+        track = tmp_path / "track.json"
+        track.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            run_cli(
+                "run", "--hazard", "track", "--track", str(track), "--offset", "300",
+                "--seed", "1", "--out", str(tmp_path / "results"),
+            )
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_strategy_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli(

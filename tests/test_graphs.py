@@ -1,14 +1,11 @@
 """Graph routine oracles: shortest paths, components, edge betweenness."""
 
-import math
-
 import pytest
 
 from lifelinesim.graphs import (
     connected_components,
     dijkstra,
     edge_betweenness,
-    shortest_path_length,
 )
 
 DIAMOND = {
@@ -30,7 +27,6 @@ def test_dijkstra_unreachable_absent():
     adj = {"a": [("b", 1.0, "ab")], "b": [], "x": []}
     dist, _ = dijkstra(adj, "a")
     assert "x" not in dist
-    assert shortest_path_length(adj, "a", "x") == math.inf
 
 
 def test_dijkstra_rejects_negative_weight():

@@ -23,9 +23,9 @@ from lifelinesim.network import (
     network_from_dict,
     network_to_dict,
     save_network,
-    traffic_adjacency,
     validate_network,
 )
+from lifelinesim.traffic import road_distances
 
 
 class TestTestbedShape:
@@ -192,22 +192,22 @@ class TestStatusTransitions:
 
 
 class TestTrafficAdjacency:
+    """The road graph's link weights, read as crew travel times."""
+
     def test_failed_link_removed(self, blockage_net):
-        adj = traffic_adjacency(blockage_net, {"RL-Z2-Z3": STATUS_FAILED})
-        z2_out = {nbr for nbr, _, _ in adj["Z2"]}
-        assert "Z3" not in z2_out
-        assert "Z1" in z2_out
+        dist = road_distances(blockage_net, "Z2", {"RL-Z2-Z3": STATUS_FAILED})
+        assert dist["Z3"] == math.inf
+        assert dist["Z4"] == math.inf
+        assert dist["Z1"] == pytest.approx(60.0)
 
     def test_failed_factor_keeps_link_at_penalty(self, blockage_net):
-        adj = traffic_adjacency(blockage_net, {"RL-Z2-Z3": STATUS_FAILED}, failed_factor=5.0)
-        weights = {nbr: w for nbr, w, _ in adj["Z2"]}
-        assert weights["Z3"] == pytest.approx(300.0)  # 60 s at 5x
-        assert weights["Z1"] == pytest.approx(60.0)
+        dist = road_distances(blockage_net, "Z2", {"RL-Z2-Z3": STATUS_FAILED}, failed_factor=5.0)
+        assert dist["Z3"] == pytest.approx(300.0)  # 60 s at 5x
+        assert dist["Z1"] == pytest.approx(60.0)
 
     def test_link_time_override(self, blockage_net):
-        adj = traffic_adjacency(blockage_net, {}, link_times={"RL-Z1-Z2": 99.0})
-        weights = {nbr: w for nbr, w, _ in adj["Z1"]}
-        assert weights["Z2"] == pytest.approx(99.0)
+        dist = road_distances(blockage_net, "Z1", {}, link_times={"RL-Z1-Z2": 99.0})
+        assert dist["Z2"] == pytest.approx(99.0)
 
 
 class TestLookups:

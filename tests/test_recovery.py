@@ -10,7 +10,6 @@ from lifelinesim.network import (
     POWER,
     TRAFFIC,
     WATER,
-    traffic_adjacency,
 )
 from lifelinesim.recovery import (
     MPC_CANDIDATE_LIMIT,
@@ -23,6 +22,7 @@ from lifelinesim.recovery import (
     rank_components,
     repair_duration,
 )
+from lifelinesim.simulation import run_scenario
 from lifelinesim.testbed import build_simple_testbed
 from lifelinesim.traffic import TrafficAssignmentError
 
@@ -286,12 +286,15 @@ class TestPlanningContext:
 
         monkeypatch.setattr(recovery, "assign_traffic", assign_traffic)
 
-    def test_failed_assignment_falls_back_to_free_flow(self, monkeypatch):
+    def test_failed_assignment_propagates(self, monkeypatch):
         self._post_failure_assignment_raises(monkeypatch, TrafficAssignmentError("no equilibrium"))
         net = build_simple_testbed()
-        ctx = build_planning_context(net, default_crews(net), {"TL-T5-T2"})
-        free_flow = traffic_adjacency(net, {"TL-T5-T2": "failed"})
-        assert ctx.travel_time("T5", "T2") == graphs.dijkstra(free_flow, "T5")[0]["T2"]
+        with pytest.raises(TrafficAssignmentError, match="no equilibrium"):
+            build_planning_context(net, default_crews(net), {"TL-T5-T2"})
+        scenario = sample_scenario(net, HazardEvent(kind="random", intensity="extreme", count=3), seed=1)
+        for strategy in ("max_flow", "mpc"):
+            with pytest.raises(TrafficAssignmentError, match="no equilibrium"):
+                run_scenario(net, scenario, strategy)
 
     def test_other_assignment_errors_propagate(self, monkeypatch):
         self._post_failure_assignment_raises(monkeypatch, ValueError("bad demand"))

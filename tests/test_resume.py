@@ -12,7 +12,7 @@ from lifelinesim.hazard import HazardEvent, sample_scenario
 from lifelinesim.simulation import run_scenario
 from lifelinesim.testbed import build_simple_testbed
 
-MEMO_KINDS = {"water_system", "baseline_water", "dispatch", "link_times", "peak_flow", "betweenness"}
+MEMO_KINDS = {"water_system", "baseline_water", "dispatch", "link_times", "peak_flow", "betweenness", "road_graph"}
 
 
 def _mpc_scenario(net, seed):

@@ -1,6 +1,8 @@
 """Traffic assignment: analytic two-link equilibrium, convergence, reroutes,
-and the array all-or-nothing step against a per-origin heap Dijkstra."""
+and the array all-or-nothing step and crew routing against a per-origin
+heap Dijkstra."""
 
+import math
 import random
 
 import networkx as nx
@@ -8,13 +10,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from lifelinesim import graphs, traffic
-from lifelinesim.network import Component, IntegratedNetwork, TRAFFIC
+from lifelinesim import graphs, simulation, traffic
+from lifelinesim.hazard import HazardEvent, sample_scenario
+from lifelinesim.network import IN_SERVICE, Component, IntegratedNetwork, TRAFFIC
+from lifelinesim.recovery import build_planning_context, default_crews, rank_components
 from lifelinesim.traffic import (
     TrafficAssignmentError,
     TrafficParams,
     assign_traffic,
-    shortest_travel_time,
+    road_distances,
 )
 
 # Analytic user equilibrium of the two-link fixture: equal travel times
@@ -109,8 +113,36 @@ class TestDisruption:
 
     def test_shortest_travel_time(self, blockage_net):
         state = assign_traffic(blockage_net)
-        assert shortest_travel_time(state, "Z1", "Z3") == pytest.approx(120.0, abs=1e-9)
-        assert shortest_travel_time(state, "Z1", "Z1") == 0.0
+        dist = road_distances(blockage_net, "Z1", {}, state.link_time)
+        assert dist["Z3"] == pytest.approx(120.0, abs=1e-9)
+        assert dist["Z1"] == 0.0
+
+
+def _adjacency(links, zone_ids, times) -> graphs.Adjacency:
+    adj: graphs.Adjacency = {z: [] for z in zone_ids}
+    for k, c in enumerate(links):
+        adj[c.ends[0]].append((c.ends[1], float(times[k]), c.id))
+    return adj
+
+
+def _traffic_adjacency(net, statuses, link_times=None, failed_factor=None) -> graphs.Adjacency:
+    """Oracle road adjacency weighted by travel time: in-service links at
+    their ``link_times`` entry or free-flow time; out-of-service links
+    skipped, or kept at ``failed_factor`` x free-flow time."""
+    adj: graphs.Adjacency = {c.id: [] for c in net.nodes_of(TRAFFIC)}
+    for link in net.components_of(TRAFFIC, "road_link"):
+        a, b = link.ends
+        if statuses.get(link.id, link.status) in IN_SERVICE:
+            adj[a].append((b, (link_times or {}).get(link.id, link.attrs["free_flow_time"]), link.id))
+        elif failed_factor is not None:
+            adj[a].append((b, failed_factor * link.attrs["free_flow_time"], link.id))
+    return adj
+
+
+def _heap_road_distances(net, origin, statuses, link_times=None, failed_factor=None):
+    """Oracle for ``road_distances``: one heap Dijkstra, inf where cut off."""
+    dist, _ = graphs.dijkstra(_traffic_adjacency(net, statuses, link_times, failed_factor), origin)
+    return {z.id: dist.get(z.id, math.inf) for z in net.nodes_of(TRAFFIC)}
 
 
 class _HeapAllOrNothing:
@@ -125,7 +157,7 @@ class _HeapAllOrNothing:
     def __call__(self, times):
         y = np.zeros(len(self.links))
         sptt = 0.0
-        adj = traffic._adjacency(self.links, self.zone_ids, times)
+        adj = _adjacency(self.links, self.zone_ids, times)
         by_origin = {}
         for orig, dest, v in self.demands:
             by_origin.setdefault(orig, []).append((dest, v))
@@ -247,8 +279,91 @@ class TestArrayAllOrNothing:
             g = nx.DiGraph()
             g.add_nodes_from(aon.nodes)
             g.add_weighted_edges_from((c.ends[0], c.ends[1], t) for c, t in zip(links, times))
-            dist = aon.distances(times)
+            dist = aon.road.distances(times, aon.origins)
             for i, o in enumerate(aon.origins):
                 want = nx.single_source_dijkstra_path_length(g, aon.nodes[o])
                 got = {z: d for z, d in zip(aon.nodes, dist[i]) if np.isfinite(d)}
                 assert got == want
+
+
+def _assert_distances_match_heap(net, statuses, link_times=None, failed_factor=None) -> int:
+    """Every origin's distances equal the heap oracle's; returns how many
+    (origin, node) pairs are cut off."""
+    cut_off = 0
+    for origin in net.nodes_of(TRAFFIC):
+        got = road_distances(net, origin.id, statuses, link_times, failed_factor)
+        assert got == _heap_road_distances(net, origin.id, statuses, link_times, failed_factor)
+        cut_off += sum(math.isinf(d) for d in got.values())
+    return cut_off
+
+
+class TestRoadDistances:
+    """Crew routing on the compiled road graph gives the heap's floats."""
+
+    def test_testbed_under_sampled_road_failures(self, net):
+        roads = sorted(c.id for c in net.components_of(TRAFFIC, "road_link"))
+        rng = random.Random(11)
+        cut_off = {None: 0, 5.0: 0}
+        for k in range(12):
+            statuses = {r: "failed" for r in rng.sample(roads, k % 6)}
+            congested = assign_traffic(net, statuses).link_time
+            for link_times in (congested, None):
+                for factor in cut_off:
+                    cut_off[factor] += _assert_distances_match_heap(net, statuses, link_times, factor)
+        assert cut_off[None] and not cut_off[5.0]
+
+    def test_tie_lattice(self):
+        net = _lattice(4, 4, isolated=True)
+        road = {c.ends: c.id for c in net.components_of(TRAFFIC, "road_link")}
+        congested = assign_traffic(net, params=TrafficParams(gap_tol=5e-3)).link_time
+        for statuses in ({}, {road["Z11", "Z12"]: "failed", road["Z21", "Z11"]: "failed"}):
+            for link_times in (congested, None):
+                for factor in (None, 5.0):
+                    assert _assert_distances_match_heap(net, statuses, link_times, factor)
+
+    def test_parallel_links_of_different_times(self, two_link_net):
+        for statuses in ({}, {"R1": "failed"}, {"R1": "failed", "R2": "failed"}):
+            for link_times in (None, {"R1": 130.0, "R2": 125.0}):
+                for factor in (None, 5.0):
+                    _assert_distances_match_heap(two_link_net, statuses, link_times, factor)
+        assert road_distances(two_link_net, "A", {})["B"] == 100.0
+        assert road_distances(two_link_net, "A", {}, {"R1": 130.0, "R2": 125.0})["B"] == 125.0
+        assert road_distances(two_link_net, "A", {"R1": "failed"})["B"] == 120.0
+        both = {"R1": "failed", "R2": "failed"}
+        assert road_distances(two_link_net, "A", both)["B"] == math.inf
+        assert road_distances(two_link_net, "A", both, failed_factor=5.0)["B"] == 500.0
+        assert road_distances(two_link_net, "B", {}) == {"A": math.inf, "B": 0.0}
+
+    def test_origin_must_be_a_traffic_node(self, blockage_net):
+        with pytest.raises(ValueError, match="'PW' is not a traffic node"):
+            road_distances(blockage_net, "PW", {})
+
+    FORCE_ROAD_CREW = (True, 5.0)  # (no congested times, factor)
+    CROSS_BLOCKED = (False, 5.0)
+
+    @pytest.mark.parametrize(
+        "seed, fallbacks",
+        [(6, {FORCE_ROAD_CREW}), (8, {FORCE_ROAD_CREW}), (23, {FORCE_ROAD_CREW, CROSS_BLOCKED})],
+    )
+    def test_scheduler_ledgers(self, monkeypatch, net, seed, fallbacks):
+        """``build_event_table`` books the same ledger when crews route on
+        the heap oracle, for the full max_flow order and for the order
+        without its road repairs, where blocked roads stay failed."""
+        event = HazardEvent(kind="random", intensity="extreme", count=6)
+        scenario = sample_scenario(net, event, seed=seed)
+        failed = {f.component_id for f in scenario.failures}
+        order = rank_components(net, failed, "max_flow", build_planning_context(net, default_crews(net), failed))
+        orders = (order, {k: v for k, v in order.items() if k != TRAFFIC})
+        calls = []
+
+        def recorded(net, origin, statuses, link_times=None, failed_factor=None):
+            calls.append((link_times is None, failed_factor))
+            return road_distances(net, origin, statuses, link_times, failed_factor)
+
+        def ledgers(routing):
+            with monkeypatch.context() as m:
+                m.setattr(simulation, "road_distances", routing)
+                return [simulation.build_event_table(net, scenario, o, allow_partial=True).rows for o in orders]
+
+        assert ledgers(recorded) == ledgers(_heap_road_distances)
+        assert {c for c in calls if c[1] is not None} == fallbacks
