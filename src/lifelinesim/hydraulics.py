@@ -8,9 +8,12 @@ through a midpoint orifice sized to half the pipe cross-section; failed
 or unpowered pumps close.
 
 Each topology (in-service flags, forced-off pumps and closed tanks) is
-compiled once per network into the arrays and Jacobian pattern its
-Newton solves read, and kept in the network's memo for every later
-simulator that meets it.
+compiled once per network into the arrays, the Jacobian pattern and the
+coefficient products its Newton solves read, and kept in the network's
+memo for every later simulator that meets it. A solve then evaluates
+each residual and Jacobian diagonal in a few array expressions whose
+operand order, and so whose rounding, the compiled constants leave
+unchanged.
 
 Units are SI throughout: flows m3/s, heads/pressures m of water column.
 """
@@ -48,6 +51,18 @@ class HydraulicParams:
     leak_cd: float = 0.75    # orifice discharge coefficient
     p_smooth: float = 1e-3   # linear orifice segment below this pressure
 
+    def __post_init__(self):
+        # the compiled Newton kernel evaluates the demand model directly,
+        # without the checks of ``pda_demand``
+        if not self.pf > self.p0:
+            raise ValueError("pf must exceed p0")
+        if not self.e > 0:
+            raise ValueError("demand exponent must be positive")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if not self.max_iterations >= 1:
+            raise ValueError("max_iterations must be at least 1")
+
 
 def pda_demand(pressure: float, desired: float, p0: float = 0.0, pf: float = 20.0, e: float = 2.0):
     """Served demand at a node under the given pressure head.
@@ -67,16 +82,6 @@ def pda_demand(pressure: float, desired: float, p0: float = 0.0, pf: float = 20.
     frac = np.clip((p - p0) / (pf - p0), 0.0, 1.0) ** (1.0 / e)
     out = np.asarray(desired, dtype=float) * frac
     return out if out.ndim else float(out)
-
-
-def _pda_slope(p, desired, p0, pf, e):
-    """d(demand)/d(pressure), capped near the lower threshold where the
-    analytic slope blows up; used only inside the Newton Jacobian."""
-    u = np.clip((np.asarray(p, dtype=float) - p0) / (pf - p0), 0.0, 1.0)
-    inside = (u > 0.0) & (u < 1.0)
-    u_floor = np.maximum(u, 1e-4)
-    slope = desired / (e * (pf - p0)) * u_floor ** (1.0 / e - 1.0)
-    return np.where(inside, slope, 0.0)
 
 
 def hazen_williams_r(length: float, diameter: float, roughness: float) -> float:
@@ -146,9 +151,16 @@ class _System:
     instance is shared through the network memo and never changes after
     construction. Fixed heads follow the tank levels and are passed to
     each solve instead.
+
+    ``residual`` and ``jacobian_diagonal`` are the Newton kernel. The
+    coefficient products they read are compiled here, each from the same
+    operands in the same order as the expression it replaces, so every
+    value keeps its bits. Exponents stay Python scalars: numpy's power
+    takes a fast path for some of them (``** 0.5`` is a square root).
     """
 
     def __init__(self, net: IntegratedNetwork, params: HydraulicParams, in_service, closed_tanks: set[str]):
+        self.params = params
         reservoirs = net.components_of(WATER, "reservoir")
         tanks = [t for t in net.components_of(WATER, "tank") if t.id not in closed_tanks]
         self.reservoir_heads = [float(r.attrs["head"]) for r in reservoirs]
@@ -201,9 +213,18 @@ class _System:
         self.junction_demand = np.array([j[2] for j in kept], dtype=float)
         self.leak_coef = np.array([j[3] for j in kept], dtype=float)
         self.leak = self.leak_coef > 0
+        self.has_leak = bool(self.leak.any())
+        # d(demand)/d(pressure) = desired / (e (pf - p0)) * u^(1/e - 1)
+        self.demand_slope = self.junction_demand / (params.e * (params.pf - params.p0))
         links = [l for l in raw_links if l[2] not in dead and l[3] not in dead]
         self.link_ids = [l[0] for l in links]
         self._link_arrays(links, {t.id for t in tanks})
+        # slope factors of the pipe headloss c1 q^1.852 (linear below
+        # q_smooth) and of the pump gain c1 (1 - (q/c2)^2)
+        self.c1_smooth = self.c1 * params.q_smooth ** (_HW_EXP - 1.0)
+        self.hw_c1 = _HW_EXP * self.c1
+        self.m2_c1 = -2.0 * self.c1
+        self.c2_sq = self.c2 ** 2
 
     def _link_arrays(self, links, tank_ids: set[str]) -> None:
         nl, nj = len(links), len(self.junction_ids)
@@ -211,6 +232,7 @@ class _System:
         node = {nid: k for k, nid in enumerate(self.junction_ids + self.fixed_ids)}
         self.from_node = np.array([node[l[2]] for l in links], dtype=int)
         self.to_node = np.array([node[l[3]] for l in links], dtype=int)
+        self.ends = np.concatenate([self.to_node, self.from_node])
         self.is_pipe = np.array([l[1] == _PIPE for l in links], dtype=bool)
         self.c1 = np.array([l[4] for l in links], dtype=float)
         self.c2 = np.array([l[5] or 1.0 for l in links], dtype=float)
@@ -233,6 +255,68 @@ class _System:
     def fixed_heads(self, tank_level: dict[str, float]) -> list[float]:
         """Heads of the fixed-head nodes, in ``fixed_ids`` order."""
         return self.reservoir_heads + [z + tank_level[tid] for tid, z in self.open_tanks]
+
+    def demand(self, h):
+        """Junction outflows at heads ``h`` (served demand, or leak
+        discharge at orifice nodes), with the pressures ``p`` and the
+        clipped pressure fractions ``u`` that the slope reuses."""
+        prm = self.params
+        p = h - self.junction_z
+        u = np.minimum(np.maximum((p - prm.p0) / (prm.pf - prm.p0), 0.0), 1.0)
+        d = self.junction_demand * u ** (1.0 / prm.e)
+        if self.has_leak:
+            pp = np.maximum(p, 0.0)
+            ql = np.where(
+                pp < prm.p_smooth, self.leak_coef * pp / math.sqrt(prm.p_smooth), self.leak_coef * np.sqrt(pp)
+            )
+            d = np.where(self.leak, np.where(p <= 0.0, 0.0, ql), d)
+        return d, p, u
+
+    def residual(self, q, h, heads):
+        """Newton residual at link flows ``q`` and junction heads ``h``:
+        headloss balance per link, then mass balance per junction. Also
+        returns the terms ``jacobian_diagonal`` reuses once the point is
+        accepted. ``heads`` is the node vector with the fixed heads at
+        its tail; the junction heads are written into it."""
+        prm = self.params
+        nl, nj = len(self.link_ids), len(self.junction_ids)
+        heads[:nj] = h
+        at_ends = heads[self.ends]  # link heads: to nodes, then from nodes
+        absq, sign = np.abs(q), np.sign(q)
+        low = absq < prm.q_smooth
+        hl = np.where(low, self.c1 * q * prm.q_smooth ** (_HW_EXP - 1.0), self.c1 * sign * absq ** _HW_EXP)
+        # pump: E = -gain so that F1 = (ha - hb) - E holds for both types
+        hl = np.where(self.is_pipe, hl, -(self.c1 * (1.0 - sign * (absq / self.c2) ** 2)))
+        d, p, u = self.demand(h)
+        F = np.empty(nl + nj)
+        np.subtract(at_ends[nl:], at_ends[:nl], out=F[:nl])
+        F[:nl] -= hl
+        # one pass over the links in order: each node adds the flows into
+        # it, then subtracts those out of it, as two ufunc.at calls would
+        inflow = np.bincount(self.ends, np.concatenate([q, -q]), nj)
+        np.subtract(inflow[:nj], d, out=F[nl:])
+        return F, (absq, low, p, u)
+
+    def jacobian_diagonal(self, terms):
+        """Diagonal of the Newton Jacobian at the point whose ``residual``
+        returned ``terms``: minus the headloss slope per link, then minus
+        the outflow slope per junction. The headloss slope is floored at
+        ``q_reg`` and the demand slope is capped near p0."""
+        absq, low, p, u = terms
+        prm = self.params
+        dhl = np.where(low, self.c1_smooth, self.hw_c1 * absq ** (_HW_EXP - 1.0))
+        dhl = np.maximum(np.where(self.is_pipe, dhl, -(self.m2_c1 * absq / self.c2_sq)), prm.q_reg)
+        inside = (u > 0.0) & (u < 1.0)
+        dd = np.where(inside, self.demand_slope * np.maximum(u, 1e-4) ** (1.0 / prm.e - 1.0), 0.0)
+        if self.has_leak:
+            pp = np.maximum(p, 0.0)
+            dql = np.where(
+                pp < prm.p_smooth,
+                self.leak_coef / math.sqrt(prm.p_smooth),
+                self.leak_coef / (2.0 * np.sqrt(np.maximum(pp, prm.p_smooth))),
+            )
+            dd = np.where(self.leak, np.where(p <= 0.0, 0.0, dql), dd)
+        return np.concatenate([-dhl, -(dd + 1e-12)])
 
 
 class WaterSimulator:
@@ -283,103 +367,45 @@ class WaterSimulator:
             lambda: _System(self.net, self.params, self._in_service, closed_tanks),
         )
 
-    # -- residual / jacobian -------------------------------------------------
-
-    def _headloss(self, q, sys: _System):
-        prm, c1, c2 = self.params, sys.c1, sys.c2
-        absq = np.abs(q)
-        hl_pipe = np.where(
-            absq < prm.q_smooth,
-            c1 * q * prm.q_smooth ** (_HW_EXP - 1.0),
-            c1 * np.sign(q) * absq ** _HW_EXP,
-        )
-        # pump: E = -gain so that F1 = (ha - hb) - E holds for both types
-        gain = c1 * (1.0 - np.sign(q) * (absq / c2) ** 2)
-        return np.where(sys.is_pipe, hl_pipe, -gain)
-
-    def _headloss_slope(self, q, sys: _System):
-        prm, c1, c2 = self.params, sys.c1, sys.c2
-        absq = np.abs(q)
-        dhl_pipe = np.where(
-            absq < prm.q_smooth,
-            c1 * prm.q_smooth ** (_HW_EXP - 1.0),
-            _HW_EXP * c1 * absq ** (_HW_EXP - 1.0),
-        )
-        dgain = -2.0 * c1 * absq / c2 ** 2
-        return np.maximum(np.where(sys.is_pipe, dhl_pipe, -dgain), prm.q_reg)
-
-    def _demand(self, h, sys: _System):
-        prm = self.params
-        p = h - sys.junction_z
-        d = pda_demand(p, sys.junction_demand, prm.p0, prm.pf, prm.e)
-        if sys.leak.any():
-            pp = np.maximum(p, 0.0)
-            ql = np.where(
-                pp < prm.p_smooth, sys.leak_coef * pp / math.sqrt(prm.p_smooth), sys.leak_coef * np.sqrt(pp)
-            )
-            d = np.where(sys.leak, np.where(p <= 0.0, 0.0, ql), d)
-        return d
-
-    def _demand_slope(self, h, sys: _System):
-        prm = self.params
-        p = h - sys.junction_z
-        dd = _pda_slope(p, sys.junction_demand, prm.p0, prm.pf, prm.e)
-        if sys.leak.any():
-            pp = np.maximum(p, 0.0)
-            dql = np.where(
-                pp < prm.p_smooth,
-                sys.leak_coef / math.sqrt(prm.p_smooth),
-                sys.leak_coef / (2.0 * np.sqrt(np.maximum(pp, prm.p_smooth))),
-            )
-            dd = np.where(sys.leak, np.where(p <= 0.0, 0.0, dql), dd)
-        return dd
+    # -- Newton solve ----------------------------------------------------
 
     def _solve_system(self, sys: _System, fixed: list[float]):
         prm = self.params
         nj, nl = len(sys.junction_ids), len(sys.link_ids)
         if nj == 0 and nl == 0:
             return np.zeros(0), np.zeros(0), 0.0, 0
-        fixed_h = np.array(fixed, dtype=float)
+        heads = np.empty(nj + len(fixed))
+        heads[nj:] = fixed
 
         default_h = max(fixed, default=0.0) + 5.0
         h = np.array([self._warm_h.get(jid, default_h + z) for jid, z in zip(sys.junction_ids, sys.junction_z)])
         q = np.array([self._warm_q.get(rid, 0.01) for rid in sys.link_ids])
 
-        def residual(qv, hv):
-            heads = np.concatenate([hv, fixed_h])
-            f1 = heads[sys.from_node] - heads[sys.to_node] - self._headloss(qv, sys)
-            # np.add.at keeps the link order of each node's sum
-            inflow = np.zeros(len(heads))
-            np.add.at(inflow, sys.to_node, qv)
-            np.subtract.at(inflow, sys.from_node, qv)
-            return np.concatenate([f1, inflow[:nj] - self._demand(hv, sys)])
-
-        F = residual(q, h)
-        norm = float(np.max(np.abs(F))) if F.size else 0.0
+        F, terms = sys.residual(q, h, heads)
+        norm = float(np.abs(F).max())
         iters = 0
         for iters in range(1, prm.max_iterations + 1):
             if norm < prm.tol:
                 break
             J = sys.incidence.copy()
-            J.flat[:: nl + nj + 1] = np.concatenate(
-                [-self._headloss_slope(q, sys), -(self._demand_slope(h, sys) + 1e-12)]
-            )
+            J.flat[:: nl + nj + 1] = sys.jacobian_diagonal(terms)
             try:
                 step = np.linalg.solve(J, -F)
             except np.linalg.LinAlgError:
                 step = np.linalg.solve(J + 1e-10 * np.eye(nl + nj), -F)
+            dq, dh = step[:nl], step[nl:]
             lam, best = 1.0, None
             for _ in range(16):
-                qn, hn = q + lam * step[:nl], h + lam * step[nl:]
-                Fn = residual(qn, hn)
-                nn = float(np.max(np.abs(Fn)))
+                qn, hn = q + lam * dq, h + lam * dh
+                Fn, tn = sys.residual(qn, hn, heads)
+                nn = float(np.abs(Fn).max())
                 if nn < norm * (1.0 - 1e-4 * lam) or nn < prm.tol:
-                    best = (qn, hn, Fn, nn)
+                    best = (qn, hn, Fn, tn, nn)
                     break
-                if best is None or nn < best[3]:
-                    best = (qn, hn, Fn, nn)
+                if best is None or nn < best[-1]:
+                    best = (qn, hn, Fn, tn, nn)
                 lam /= 2.0
-            q, h, F, norm = best
+            q, h, F, terms, norm = best
         else:
             raise HydraulicError(
                 f"no convergence after {prm.max_iterations} iterations; residual {norm:.3e} (tol {prm.tol:.1e})"
@@ -522,7 +548,7 @@ class WaterSimulator:
             state.desired_demand[nid] = float(base_demand)
         state.leak_discharge = {}
         if sys.leak.any():
-            for jid, dv, leak in zip(sys.junction_ids, self._demand(h, sys), sys.leak):
+            for jid, dv, leak in zip(sys.junction_ids, sys.demand(h)[0], sys.leak):
                 if leak:
                     state.leak_discharge[jid.split("::")[0]] = float(dv)
                     state.node_head[jid] = heads[jid]

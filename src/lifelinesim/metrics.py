@@ -98,10 +98,22 @@ def pcs(series: NetworkSeries, t: float) -> float:
 
 
 def ecs_curve(series: NetworkSeries) -> np.ndarray:
-    out = np.empty(len(series.times))
-    for j in range(len(series.times)):
-        frac = _served_fractions(series, j)
-        out[j] = frac.mean() if frac is not None else math.nan
+    """``ecs`` at every sample, NaN where no consumer has baseline > 0.
+
+    Consecutive rows with one ``baseline > 0`` mask form a group, reduced
+    over exactly its masked columns, in order. ``compress`` keeps each
+    group's rows contiguous, so each row's mean sums the same values in
+    the same order as ``ecs`` does, to the bit.
+    """
+    s, b = series.supplied, series.baseline
+    masks = b > 0
+    out = np.full(len(series.times), math.nan)
+    starts = [0, *(np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1).tolist()]
+    for lo, hi in zip(starts, [*starts[1:], len(out)]):
+        mask = masks[lo]
+        if mask.any():
+            frac = np.minimum(s[lo:hi].compress(mask, axis=1) / b[lo:hi].compress(mask, axis=1), 1.0)
+            out[lo:hi] = frac.mean(axis=1)
     return out
 
 

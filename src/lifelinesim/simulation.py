@@ -421,8 +421,15 @@ class _Replay:
     dispatches again at once. The state at the start of an interval,
     before a's rows apply, depends only on a and the rows before a, since
     every earlier boundary is a row time or 0; ``snapshot`` takes it and
-    ``resume`` continues from it. The sample buffers only grow, so a
-    snapshot holds each one with its length instead of a copy.
+    ``resume`` continues from it.
+
+    Water samples are kept as runs, one per sampled solve and not one per
+    minute: ``(t, k0, k1, row)`` holds ``row`` at time ``t`` (``None``
+    when ``t`` is not sampled) and then at each grid time ``k *
+    WATER_SAMPLE_STEP`` for k in [k0, k1), the minutes a frozen simulator
+    repeats. ``water_samples`` expands them once, at the end. The run
+    and power buffers only grow, so a snapshot holds each one with its
+    length instead of a copy.
     """
 
     def __init__(self, net: IntegratedNetwork):
@@ -440,13 +447,12 @@ class _Replay:
         self.statuses: dict[str, str] = {}
         self.forced_generators: frozenset[str] = frozenset()  # what the last dispatch used
         self.water_row: list[float] | None = None
-        self.water_times: list[float] = []
-        self.water_rows: list[list[float]] = []
+        self.water_runs: list[tuple[float | None, int, int, list[float]]] = []
         self.power_times: list[float] = []
         self.power_rows: list[list[float]] = []
 
     def snapshot(self) -> tuple:
-        buffers = (self.water_times, self.water_rows, self.power_times, self.power_rows)
+        buffers = (self.water_runs, self.power_times, self.power_rows)
         return (
             dict(self.statuses), self.forced_generators, self.water_row, self.sim.checkpoint(),
             tuple((buf, len(buf)) for buf in buffers),
@@ -456,9 +462,7 @@ class _Replay:
         statuses, self.forced_generators, self.water_row, checkpoint, buffers = snapshot
         self.statuses = dict(statuses)
         self.sim.restore(checkpoint)
-        self.water_times, self.water_rows, self.power_times, self.power_rows = (
-            buf[:n] for buf, n in buffers
-        )
+        self.water_runs, self.power_times, self.power_rows = (buf[:n] for buf, n in buffers)
 
     def interval(self, a: float, b: float, rows) -> None:
         """Apply a's rows and sample [a, b); a == b samples once, at a."""
@@ -477,23 +481,37 @@ class _Replay:
         while now < b - _TIME_TOL or a == b:
             if not sim.is_stationary():  # set_statuses drops the last solution
                 self._solve(now, a, b)
-            if a == b or _on_grid(now):
-                self.water_times.append(now)
-                self.water_rows.append(self.water_row)
+            t = now if a == b or _on_grid(now) else None
             if a == b:
+                self.water_runs.append((t, 0, 0, self.water_row))
                 break
             k = math.floor(now / WATER_SAMPLE_STEP) + 1
             if sim.is_frozen():
                 # every later step of the interval would keep this row and
-                # these levels: emit its remaining grid samples directly
-                while k * WATER_SAMPLE_STEP < b - _TIME_TOL:
-                    self.water_times.append(k * WATER_SAMPLE_STEP)
-                    self.water_rows.append(self.water_row)
-                    k += 1
+                # these levels: one run holds its grid samples k * step <
+                # b - tol. The ceil is exact: above a multiple of 60 the
+                # next float, divided by 60, clears half the gap above k
+                k1 = max(k, math.ceil((b - _TIME_TOL) / WATER_SAMPLE_STEP))
+                self.water_runs.append((t, k, k1, self.water_row))
                 break
+            if t is not None:
+                self.water_runs.append((t, 0, 0, self.water_row))
             nxt = min(b, k * WATER_SAMPLE_STEP)
             sim.advance(nxt - now)
             now = nxt
+
+    def water_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """The water runs expanded to sample times and rows."""
+        runs = self.water_runs
+        sampled = np.array([t is not None for t, _, _, _ in runs])
+        k0 = np.array([k0 for _, k0, _, _ in runs], dtype=int)
+        counts = sampled + (np.array([k1 for _, _, k1, _ in runs], dtype=int) - k0)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        # the grid samples of a run at positions starts + sampled + j are k0 + j
+        times = (np.repeat(k0 - starts - sampled, counts) + np.arange(ends[-1])) * WATER_SAMPLE_STEP
+        times[starts[sampled]] = [t for t, _, _, _ in runs if t is not None]
+        return times, np.repeat(np.array([row for _, _, _, row in runs]), counts, axis=0)
 
     def _dispatch(self, now: float) -> set[str]:
         """Dispatch at ``now``, record its power sample (replacing one
@@ -543,9 +561,10 @@ def _run_series(
     ``a`` stored under (rows before ``a``, ``a``) and stores a snapshot
     under that key at each later boundary it reaches. The state at ``a``
     depends on nothing else, so replays of any ledgers and horizons on
-    ``net`` may share one store; a ledger replayed before, to the same
-    horizon, resumes at the horizon itself. Without a store it builds no
-    keys and takes no snapshots.
+    ``net`` may share one store. After the horizon sample it stores one
+    more snapshot, under (all rows, horizon, "sampled"): a ledger replayed
+    before, to the same horizon, resumes there and solves nothing.
+    Without a store it builds no keys and takes no snapshots.
     """
     by_time = _status_timeline(table)
     boundaries = sorted({0.0, horizon, *by_time})
@@ -557,6 +576,7 @@ def _run_series(
     if snapshots is not None:
         times = [row.time for row in table.rows]
         keys = [(table.rows[: bisect_left(times, a)], a) for a in boundaries]
+        keys.append((table.rows, horizon, "sampled"))
         for start in reversed(range(len(keys))):  # ends at 0 when none is stored
             if keys[start] in snapshots:
                 replay.resume(snapshots[keys[start]])
@@ -566,15 +586,15 @@ def _run_series(
     # to the next one; the horizon closes the run as a zero-length interval
     # sampled once, on the grid or off it
     ends = [*boundaries[1:], horizon]
-    for i in range(start, len(boundaries)):
+    for i in range(start, len(boundaries) + 1):
         if snapshots is not None and keys[i] not in snapshots:
             snapshots[keys[i]] = replay.snapshot()
-        replay.interval(boundaries[i], ends[i], by_time.get(boundaries[i], ()))
+        if i < len(boundaries):
+            replay.interval(boundaries[i], ends[i], by_time.get(boundaries[i], ()))
 
     return (
         replay.water_ids,
-        np.array(replay.water_times),
-        np.array(replay.water_rows),
+        *replay.water_samples(),
         replay.power_ids,
         np.array(replay.power_times),
         np.array(replay.power_rows),

@@ -1,5 +1,7 @@
 """Hydraulic solver oracles: PDA closed form, triangle network, tanks, leaks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
 from lifelinesim.hydraulics import (
+    _HW_EXP,
+    HydraulicError,
     HydraulicParams,
     WaterSimulator,
     hazen_williams_r,
@@ -25,8 +29,6 @@ TRIANGLE_FLOWS = {
     "P-1-2": 0.0002620936817807896,
 }
 TRIANGLE_DEMANDS = {"J1": 0.017184294598752717, "J2": 0.01288806569062624}
-
-_HW_EXP = 1.852
 
 
 def _hw_flow(dh, r):
@@ -321,3 +323,230 @@ class TestTestbedBaseline:
         state = solve_hydraulics(triangle_net, {}, 60.0, 60.0, params=params)[-1]
         assert state.actual_demand["J1"] == pytest.approx(0.02, abs=1e-9)
         assert state.actual_demand["J2"] == pytest.approx(0.015, abs=1e-9)
+
+
+class TestParams:
+    @pytest.mark.parametrize(
+        "field, bad, good",
+        [("pf", 0.0, 1e-9), ("e", 0.0, 1e-9), ("tol", 0.0, 1e-300), ("max_iterations", 0, 1)],
+    )
+    def test_each_field_is_checked(self, field, bad, good):
+        # pf is checked against the default p0 = 0
+        with pytest.raises(ValueError):
+            HydraulicParams(**{field: bad})
+        with pytest.raises(ValueError):
+            HydraulicParams(**{field: -1 if field == "max_iterations" else math.nan})
+        assert getattr(HydraulicParams(**{field: good}), field) == good
+
+    def test_pf_is_checked_against_p0(self):
+        with pytest.raises(ValueError):
+            HydraulicParams(p0=25.0)
+        assert HydraulicParams(p0=25.0, pf=30.0).pf == 30.0
+
+
+def _pda_slope(p, desired, p0, pf, e):
+    """d(demand)/d(pressure), capped near the lower threshold where the
+    analytic slope blows up; used only inside the Newton Jacobian."""
+    u = np.clip((np.asarray(p, dtype=float) - p0) / (pf - p0), 0.0, 1.0)
+    inside = (u > 0.0) & (u < 1.0)
+    u_floor = np.maximum(u, 1e-4)
+    slope = desired / (e * (pf - p0)) * u_floor ** (1.0 / e - 1.0)
+    return np.where(inside, slope, 0.0)
+
+
+class _ArrayCallSimulator(WaterSimulator):
+    """Oracle: the Newton solve as it was before its constants were
+    compiled with the topology, one numpy call per term, with its four
+    helpers and ``_pda_slope``, verbatim."""
+
+    def _headloss(self, q, sys):
+        prm, c1, c2 = self.params, sys.c1, sys.c2
+        absq = np.abs(q)
+        hl_pipe = np.where(
+            absq < prm.q_smooth,
+            c1 * q * prm.q_smooth ** (_HW_EXP - 1.0),
+            c1 * np.sign(q) * absq ** _HW_EXP,
+        )
+        # pump: E = -gain so that F1 = (ha - hb) - E holds for both types
+        gain = c1 * (1.0 - np.sign(q) * (absq / c2) ** 2)
+        return np.where(sys.is_pipe, hl_pipe, -gain)
+
+    def _headloss_slope(self, q, sys):
+        prm, c1, c2 = self.params, sys.c1, sys.c2
+        absq = np.abs(q)
+        dhl_pipe = np.where(
+            absq < prm.q_smooth,
+            c1 * prm.q_smooth ** (_HW_EXP - 1.0),
+            _HW_EXP * c1 * absq ** (_HW_EXP - 1.0),
+        )
+        dgain = -2.0 * c1 * absq / c2 ** 2
+        return np.maximum(np.where(sys.is_pipe, dhl_pipe, -dgain), prm.q_reg)
+
+    def _demand(self, h, sys):
+        prm = self.params
+        p = h - sys.junction_z
+        d = pda_demand(p, sys.junction_demand, prm.p0, prm.pf, prm.e)
+        if sys.leak.any():
+            pp = np.maximum(p, 0.0)
+            ql = np.where(
+                pp < prm.p_smooth, sys.leak_coef * pp / math.sqrt(prm.p_smooth), sys.leak_coef * np.sqrt(pp)
+            )
+            d = np.where(sys.leak, np.where(p <= 0.0, 0.0, ql), d)
+        return d
+
+    def _demand_slope(self, h, sys):
+        prm = self.params
+        p = h - sys.junction_z
+        dd = _pda_slope(p, sys.junction_demand, prm.p0, prm.pf, prm.e)
+        if sys.leak.any():
+            pp = np.maximum(p, 0.0)
+            dql = np.where(
+                pp < prm.p_smooth,
+                sys.leak_coef / math.sqrt(prm.p_smooth),
+                sys.leak_coef / (2.0 * np.sqrt(np.maximum(pp, prm.p_smooth))),
+            )
+            dd = np.where(sys.leak, np.where(p <= 0.0, 0.0, dql), dd)
+        return dd
+
+    def _solve_system(self, sys, fixed):
+        prm = self.params
+        nj, nl = len(sys.junction_ids), len(sys.link_ids)
+        if nj == 0 and nl == 0:
+            return np.zeros(0), np.zeros(0), 0.0, 0
+        fixed_h = np.array(fixed, dtype=float)
+
+        default_h = max(fixed, default=0.0) + 5.0
+        h = np.array([self._warm_h.get(jid, default_h + z) for jid, z in zip(sys.junction_ids, sys.junction_z)])
+        q = np.array([self._warm_q.get(rid, 0.01) for rid in sys.link_ids])
+
+        def residual(qv, hv):
+            heads = np.concatenate([hv, fixed_h])
+            f1 = heads[sys.from_node] - heads[sys.to_node] - self._headloss(qv, sys)
+            # np.add.at keeps the link order of each node's sum
+            inflow = np.zeros(len(heads))
+            np.add.at(inflow, sys.to_node, qv)
+            np.subtract.at(inflow, sys.from_node, qv)
+            return np.concatenate([f1, inflow[:nj] - self._demand(hv, sys)])
+
+        F = residual(q, h)
+        norm = float(np.max(np.abs(F))) if F.size else 0.0
+        iters = 0
+        for iters in range(1, prm.max_iterations + 1):
+            if norm < prm.tol:
+                break
+            J = sys.incidence.copy()
+            J.flat[:: nl + nj + 1] = np.concatenate(
+                [-self._headloss_slope(q, sys), -(self._demand_slope(h, sys) + 1e-12)]
+            )
+            try:
+                step = np.linalg.solve(J, -F)
+            except np.linalg.LinAlgError:
+                step = np.linalg.solve(J + 1e-10 * np.eye(nl + nj), -F)
+            lam, best = 1.0, None
+            for _ in range(16):
+                qn, hn = q + lam * step[:nl], h + lam * step[nl:]
+                Fn = residual(qn, hn)
+                nn = float(np.max(np.abs(Fn)))
+                if nn < norm * (1.0 - 1e-4 * lam) or nn < prm.tol:
+                    best = (qn, hn, Fn, nn)
+                    break
+                if best is None or nn < best[3]:
+                    best = (qn, hn, Fn, nn)
+                lam /= 2.0
+            q, h, F, norm = best
+        else:
+            raise HydraulicError(
+                f"no convergence after {prm.max_iterations} iterations; residual {norm:.3e} (tol {prm.tol:.1e})"
+            )
+        return q, h, norm, iters
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HydraulicError as exc:
+        return str(exc)
+
+
+def _kernel_outcome(sim, solve_system, outflow, closed):
+    sys = sim._system(closed)
+    got = _outcome(solve_system, sim, sys, sys.fixed_heads(sim.tank_level))
+    if isinstance(got, str):
+        return got
+    q, h, norm, iters = got
+    return q.tobytes(), h.tobytes(), norm, iters, outflow(sim, sys, h).tobytes()
+
+
+TESTBED_LINKS = ["WPU1", "WP-W1-W2", "WP-W2-W5", "WP-W4-W7", "WP-W6-W9", "WP-W8-W9", "WP-W9-WT1"]
+TRIANGLE_LINKS = ["P-R-1", "P-R-2", "P-1-2"]
+
+
+class TestCompiledKernel:
+    """The compiled Newton kernel equals the array-call solve it replaced,
+    to the bit, in (q, h, norm, iterations) and in every full state. A
+    kernel that builds the inflow as bincount(to) - bincount(from), or
+    that reorders one product, fails here."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        triangle=st.booleans(),
+        failed=st.sets(st.integers(0, len(TESTBED_LINKS) - 1), max_size=4),
+        forced=st.booleans(),
+        level=st.one_of(st.sampled_from([0.0, 5.0]), st.floats(0.0, 5.0)),
+        pf=st.sampled_from([20.0, 12.0]),
+        wide=st.booleans(),
+    )
+    def test_equals_the_array_call_solve(self, net, triangle_net, triangle, failed, forced, level, pf, wide):
+        model = triangle_net if triangle else net
+        links = TRIANGLE_LINKS if triangle else TESTBED_LINKS
+        statuses = {links[k % len(links)]: "failed" for k in failed}
+        forced_off = {"WPU1"} if forced and not triangle else set()
+        # wide smoothing puts many flows and leak pressures on the linear
+        # segments, which the default thresholds leave to rare iterates
+        params = HydraulicParams(pf=pf, q_smooth=0.03, p_smooth=8.0) if wide else HydraulicParams(pf=pf)
+        new = WaterSimulator(model, params, forced_off)
+        old = _ArrayCallSimulator(model, params, forced_off)
+        for sim in (new, old):
+            sim.set_statuses(statuses)
+            if "WT1" in sim.tank_level:
+                sim.tank_level["WT1"] = level
+        # the kernel itself, cold and with every tank closed, then whole
+        # solves (tank-closure rounds included) stepped through three minutes
+        for closed in (set(), set(new.tank_level)):
+            assert _kernel_outcome(
+                new, WaterSimulator._solve_system, lambda sim, sys, h: sys.demand(h)[0], closed
+            ) == _kernel_outcome(
+                old, _ArrayCallSimulator._solve_system, lambda sim, sys, h: sim._demand(h, sys), closed
+            )
+        for k in range(3):
+            got, want = _outcome(new.solve, 60.0 * k), _outcome(old.solve, 60.0 * k)
+            assert got == want
+            if isinstance(got, str):
+                break
+            assert new._warm_h == old._warm_h and new._warm_q == old._warm_q
+            new.advance(60.0)
+            old.advance(60.0)
+            assert new.tank_level == old.tank_level
+
+    @pytest.mark.parametrize(
+        "statuses, forced_off, level",
+        [
+            ({"WP-W1-W2": "failed", "WP-W6-W9": "failed"}, set(), 2.5),  # two leak nodes
+            ({"WPU1": "failed"}, set(), 0.0),  # empty tank, no pump: every junction dead
+            ({}, {"WPU1"}, 5.0),
+            ({}, set(), 5.0),  # full tank: the filling tank closes
+            ({"WP-W9-WT1": "failed"}, set(), 0.0),
+        ],
+    )
+    def test_testbed_cases(self, net, statuses, forced_off, level):
+        states = []
+        for cls in (WaterSimulator, _ArrayCallSimulator):
+            sim = cls(net, forced_off=forced_off)
+            sim.set_statuses(statuses)
+            sim.tank_level["WT1"] = level
+            run = []
+            for k in range(5):
+                run.append(sim.solve(60.0 * k))
+                sim.advance(60.0)
+            states.append(run)
+        assert states[0] == states[1]

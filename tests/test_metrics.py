@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lifelinesim.metrics import (
     DEFAULT_EOH_WEIGHTS,
@@ -23,6 +26,7 @@ from lifelinesim.metrics import (
     system_eoh,
     weighted_eoh,
 )
+from lifelinesim.metrics import _served_fractions
 
 # Hand-worked 3x3 repeated-measures matrix. Grand mean 10.611..., the
 # spreadsheet decomposition gives F = SSstrategy/2 / (SSerror/4).
@@ -102,6 +106,47 @@ class TestEcsPcs:
         served = np.clip(rng.uniform(0.0, 3.5, size=(10, 4)), 0.0, 3.0)
         s = make_series(np.arange(10.0), served, base)
         np.testing.assert_allclose(ecs_curve(s), pcs_curve(s), atol=1e-12)
+
+
+def _ecs_rows(series):
+    """Oracle: ``ecs_curve`` as a loop over rows, one ``ecs`` each."""
+    out = np.empty(len(series.times))
+    for j in range(len(series.times)):
+        frac = _served_fractions(series, j)
+        out[j] = frac.mean() if frac is not None else math.nan
+    return out
+
+
+@st.composite
+def _varied_series(draw):
+    # 1 to 40 consumers crosses numpy's 8- and 16-element summation
+    # blocks; rows repeat a few baseline patterns, runs of one mask and
+    # masks that change between rows, and a pattern may be all zero
+    m = draw(st.integers(1, 40))
+    baseline = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
+    patterns = draw(st.lists(arrays(float, m, elements=baseline), min_size=1, max_size=4))
+    order = draw(st.lists(st.integers(0, len(patterns) - 1), min_size=1, max_size=40))
+    b = np.array([patterns[k] for k in order])
+    s = draw(arrays(float, b.shape, elements=st.floats(0.0, 20.0)))
+    return make_series(np.arange(len(order), dtype=float), s, b)
+
+
+class TestEcsCurve:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(series=_varied_series())
+    def test_equals_the_row_loop(self, series):
+        assert np.array_equal(ecs_curve(series), _ecs_rows(series), equal_nan=True)
+
+    def test_long_series_with_changing_masks(self):
+        rng = np.random.default_rng(7)
+        b = rng.random((3666, 9)) * (rng.random((3666, 9)) < 0.8)
+        b[100:2000] = b[100]  # one long run of a single mask
+        b[2500:2600] = 0.0  # undefined for a stretch
+        s = b * rng.random((3666, 9)) * 1.3
+        series = make_series(np.arange(3666.0), s, b)
+        got = ecs_curve(series)
+        assert np.isnan(got[2500:2600]).all()
+        assert np.array_equal(got, _ecs_rows(series), equal_nan=True)
 
 
 class TestSeriesValidation:

@@ -9,6 +9,7 @@ import pytest
 
 from lifelinesim import cli, simulation
 from lifelinesim.hazard import HazardEvent, sample_scenario
+from lifelinesim.hydraulics import WaterSimulator
 from lifelinesim.simulation import run_scenario
 from lifelinesim.testbed import build_simple_testbed
 
@@ -36,7 +37,7 @@ def _count_resumes(monkeypatch):
 
     def counted(replay, snapshot):
         resume(replay, snapshot)
-        resumes.append(len(replay.water_times))  # minutes it need not replay
+        resumes.append(len(replay.water_runs))  # sample runs it need not replay
 
     monkeypatch.setattr(simulation._Replay, "resume", counted)
     return resumes
@@ -147,3 +148,34 @@ def test_a_batch_scenario_shares_one_store_that_dies_with_it(monkeypatch):
     assert "error" not in record
     assert len({id(store) for *_, store, _ in calls}) == 1 and calls[0][2] is not None
     assert {key[0] for key in net._memo} <= MEMO_KINDS
+
+
+@pytest.mark.parametrize("horizon", ["default", "last_event", "off_grid"])
+def test_a_repeated_ledger_resumes_past_its_horizon(monkeypatch, horizon):
+    # the store keeps the state after the horizon sample, so replaying the
+    # same ledger to the same horizon again solves nothing; a horizon at
+    # the last event applies rows there, and an off-grid one is sampled
+    # off the minute grid
+    net = build_simple_testbed()
+    scenario = sample_scenario(net, HazardEvent(kind="random", intensity="random", count=3), seed=100)
+    table = run_scenario(net, scenario, "max_flow").event_table
+    horizon = {
+        "default": simulation.default_horizon(table),
+        "last_event": table.last_time(),
+        "off_grid": simulation.default_horizon(table) + 30.5,
+    }[horizon]
+    store: dict = {}
+    once = simulation._run_series(net, table, horizon, store)
+
+    solves = []
+    solve = WaterSimulator.solve
+    monkeypatch.setattr(WaterSimulator, "solve", lambda sim, *a, **k: solves.append(a) or solve(sim, *a, **k))
+    resumes = _count_resumes(monkeypatch)
+    again = simulation._run_series(net, table, horizon, store)
+    assert solves == [] and len(resumes) == 1
+    monkeypatch.undo()
+    fresh = simulation._run_series(build_simple_testbed(), table, horizon)
+    for got in (once, again):
+        assert got[0] == fresh[0] and got[3] == fresh[3]  # consumer ids
+        for k in (1, 2, 4, 5):  # water times and rows, power times and rows
+            assert np.array_equal(got[k], fresh[k]), k

@@ -1,5 +1,7 @@
 """Event-table scheduling and the interdependent replay loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -460,6 +462,91 @@ def _dry_tank_net():
         [*base.dependencies, Dependency("WT1", "PGEN", "reservoir_feeds_generator")],
         od_matrix=base.od_matrix, zone_priority=base.zone_priority,
     )
+
+
+class _MinuteReplay(simulation._Replay):
+    """Oracle: the replay as it was before water samples were kept as
+    runs, appending every sample, frozen minutes included, one by one."""
+
+    def __init__(self, net):
+        super().__init__(net)
+        self.water_times, self.water_rows = [], []
+
+    def interval(self, a, b, rows):
+        sim = self.sim
+        for row in rows:
+            current = self.statuses.get(row.component_id, self.net.component(row.component_id).status)
+            new = simulation._ACTION_STATUS[row.action]
+            try:
+                simulation.check_transition(current, new)
+            except ValueError as exc:
+                raise SimulationError(f"invalid event at t={a}: {exc}") from exc
+            self.statuses[row.component_id] = new
+        sim.set_statuses(self.statuses, forced_off=self._dispatch(a))
+
+        step, tol = simulation.WATER_SAMPLE_STEP, simulation._TIME_TOL
+        now = a
+        while now < b - tol or a == b:
+            if not sim.is_stationary():  # set_statuses drops the last solution
+                self._solve(now, a, b)
+            if a == b or simulation._on_grid(now):
+                self.water_times.append(now)
+                self.water_rows.append(self.water_row)
+            if a == b:
+                break
+            k = math.floor(now / step) + 1
+            if sim.is_frozen():
+                # every later step of the interval would keep this row and
+                # these levels: emit its remaining grid samples directly
+                while k * step < b - tol:
+                    self.water_times.append(k * step)
+                    self.water_rows.append(self.water_row)
+                    k += 1
+                break
+            nxt = min(b, k * step)
+            sim.advance(nxt - now)
+            now = nxt
+
+    def water_samples(self):
+        return np.array(self.water_times), np.array(self.water_rows)
+
+
+# event times a hair off the minute grid, on both sides of it
+NEAR_GRID_ROWS = (
+    EventRow(3600.0 + 1e-9, "WPU1", ACTION_FAIL),
+    EventRow(3600.0 + 1e-9, "PL5", ACTION_FAIL),
+    EventRow(7200.0 - 1e-9, "PL5", ACTION_REPAIR_START, "power-crew-1"),
+    EventRow(10800.0 + 2e-9, "PL5", ACTION_REPAIR_END, "power-crew-1"),
+    EventRow(10830.0 - 5e-10, "WPU1", ACTION_REPAIR_START, "water-crew-1"),
+    EventRow(14400.0 + 5e-10, "WPU1", ACTION_REPAIR_END, "water-crew-1"),
+)
+
+
+class TestSampleRuns:
+    @pytest.mark.parametrize(
+        "rows, horizon",
+        [
+            ((), 3600.0),
+            ((), 3630.5),
+            (DRY_TANK_ROWS, 60000.0),
+            (DRY_TANK_ROWS[:2], 20000.25),
+            (NEAR_GRID_ROWS, 20000.0),
+            (NEAR_GRID_ROWS, 14400.0 + 5e-10),
+            (NEAR_GRID_ROWS[:4], 10800.0 + 2e-9),
+        ],
+    )
+    def test_runs_expand_to_the_minute_samples(self, monkeypatch, rows, horizon):
+        # the runs, expanded once, equal the samples the per-minute loop
+        # appended: the same times to the bit, and the same rows
+        net = _dry_tank_net()
+        table = EventTable(rows)
+        got = simulation._run_series(net, table, horizon)
+        monkeypatch.setattr(simulation, "_Replay", _MinuteReplay)
+        want = simulation._run_series(_dry_tank_net(), table, horizon)
+        assert got[0] == want[0] and got[3] == want[3]
+        for k in (1, 2, 4, 5):
+            assert got[k].shape == want[k].shape and got[k].dtype == want[k].dtype, k
+            assert np.array_equal(got[k], want[k]), k
 
 
 class TestRunScenario:
