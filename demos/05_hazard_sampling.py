@@ -1,22 +1,20 @@
 """Hazard footprints and seeded failure sampling.
 
-Walks through the three event shapes (point, storm track, random pick),
-prints per-component failure probabilities, and checks a few thousand
-seeded draws against the probability model they are supposed to follow.
+Walks through the three event shapes (point, a fixed storm-track
+polyline, random pick), prints per-component failure probabilities,
+shows how often each uniformly drawn intensity comes up, and checks a
+few thousand seeded draws against the probability model they are
+supposed to follow.
 """
 
 from collections import Counter
-
-import numpy as np
 
 from lifelinesim import (
     HazardEvent,
     build_simple_testbed,
     failure_probability,
-    generate_track,
     sample_scenario,
 )
-from lifelinesim.hazard import FLOOD_INTENSITY_WEIGHTS, draw_intensity
 
 
 def point_event(net):
@@ -35,7 +33,8 @@ def point_event(net):
 
 
 def track_event(net):
-    track = generate_track((0.0, 0.0, 1200.0, 700.0), seed=7)
+    # a storm crossing the testbed from south-west to north-east
+    track = ((0.0, 100.0), (400.0, 300.0), (800.0, 350.0), (1200.0, 600.0))
     event = HazardEvent(kind="track", intensity="extreme", track=track, offset=250.0)
     scenario = sample_scenario(net, event, seed=7)
     print(f"\n=== storm track ({len(track)} vertices), intensity extreme ===")
@@ -50,13 +49,6 @@ def random_event(net):
         sample_scenario(net, event, seed=s).intensity for s in range(3000)
     )
     for level, n in sorted(intensities.items()):
-        print(f"  intensity {level}: {n / 3000:.3f} of draws")
-
-    rng = np.random.default_rng(0)
-    weighted = Counter(draw_intensity(rng) for _ in range(3000))
-    print("flood-style weighted draws for comparison "
-          f"(weights {({k: round(v, 3) for k, v in FLOOD_INTENSITY_WEIGHTS.items()})}):")
-    for level, n in sorted(weighted.items()):
         print(f"  intensity {level}: {n / 3000:.3f} of draws")
 
 

@@ -14,10 +14,7 @@ from .hazard import (
     HazardEvent,
     exposure_probability,
     failure_probability,
-    generate_track,
-    load_scenario,
     sample_scenario,
-    save_scenario,
 )
 from .hydraulics import HydraulicError, HydraulicParams, WaterSimulator, pda_demand, solve_hydraulics
 from .metrics import (
@@ -114,9 +111,7 @@ __all__ = [
     "ecs_curve",
     "exposure_probability",
     "failure_probability",
-    "generate_track",
     "load_network",
-    "load_scenario",
     "make_weighted_eoh_evaluator",
     "motor_operational",
     "mpc_sequence",
@@ -130,7 +125,6 @@ __all__ = [
     "run_scenario",
     "sample_scenario",
     "save_network",
-    "save_scenario",
     "simulate",
     "solve_hydraulics",
     "solve_power",

@@ -100,6 +100,18 @@ def _load_track(path: str) -> tuple[tuple[float, float], ...]:
     return pts
 
 
+def _strategies(text: str) -> list[str]:
+    """The names in a comma-separated --strategy value, each checked."""
+    strategies = [s.strip() for s in text.split(",") if s.strip()]
+    valid = set(STRATEGIES) | {"mpc"}
+    for s in strategies:
+        if s not in valid:
+            raise CliError(f"unknown strategy {s!r}; expected one of {sorted(valid)}")
+    if not strategies:
+        raise CliError("--strategy needs at least one name")
+    return strategies
+
+
 def _build_event(args) -> HazardEvent:
     kind = args.hazard
     if kind == "point":
@@ -141,10 +153,9 @@ def _write_performance(path: Path, result: SimulationResult) -> None:
         writer.writerow(["time_s", "network", "ecs", "pcs"])
         for network in (WATER, POWER):
             series = result.series(network)
-            ecs_vals = metrics.ecs_curve(series)
-            pcs_vals = metrics.pcs_curve(series)
-            for t, e, p in zip(series.times, ecs_vals, pcs_vals):
-                writer.writerow([_fmt(t), network, _fmt(e), _fmt(p)])
+            curves = (series.times, metrics.ecs_curve(series), metrics.pcs_curve(series))
+            for t, e, p in zip(*(map(repr, c.tolist()) for c in curves)):
+                writer.writerow([t, network, e, p])
 
 
 def _eoh_block(result: SimulationResult) -> dict:
@@ -193,6 +204,8 @@ def _write_report(path: Path, result: SimulationResult, scenario, args) -> None:
 
 
 def _cmd_run(args) -> int:
+    if _strategies(args.strategy) != [args.strategy]:
+        raise CliError(f"run takes one strategy, got {args.strategy!r}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -302,13 +315,7 @@ def _family_stats(matrix: np.ndarray, strategies: list[str]) -> dict:
 
 
 def _cmd_batch(args) -> int:
-    strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
-    valid = set(STRATEGIES) | {"mpc"}
-    for s in strategies:
-        if s not in valid:
-            raise CliError(f"unknown strategy {s!r}; expected one of {sorted(valid)}")
-    if not strategies:
-        raise CliError("batch needs at least one strategy")
+    strategies = _strategies(args.strategy)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -499,10 +506,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if getattr(args, "strategy", None) is not None and args.command == "run":
-        valid = set(STRATEGIES) | {"mpc"}
-        if args.strategy not in valid:
-            parser.error(f"unknown strategy {args.strategy!r}; expected one of {sorted(valid)}")
     if getattr(args, "scenarios", None) is not None and args.scenarios < 1:
         parser.error("--scenarios must be >= 1")
     if getattr(args, "jobs", None) is not None and args.jobs < 1:

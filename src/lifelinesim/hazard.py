@@ -10,7 +10,6 @@ links fail directly; everything else suffers through dependencies.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,10 +24,6 @@ INTENSITIES = ("low", "moderate", "high", "extreme")
 
 # P(component fails | exposed), by intensity
 CONDITIONAL_FAILURE = {"low": 0.1, "moderate": 0.3, "high": 0.6, "extreme": 0.9}
-
-# relative occurrence odds of flood intensities, normalized to weights
-_RAW_FLOOD_ODDS = {"low": 0.1, "moderate": 0.3, "high": 0.5}
-FLOOD_INTENSITY_WEIGHTS = {k: v / sum(_RAW_FLOOD_ODDS.values()) for k, v in _RAW_FLOOD_ODDS.items()}
 
 DEFAULT_OCCURRENCE_TIME = 3600.0
 
@@ -53,6 +48,9 @@ class HazardEvent:
             raise HazardError(f"unknown event kind {self.kind!r}")
         if self.intensity not in INTENSITIES + ("random",):
             raise HazardError(f"unknown intensity {self.intensity!r}")
+        geometry = [*(self.center or ()), *(v for p in self.track or () for v in p), self.radius, self.offset]
+        if not all(math.isfinite(v) for v in geometry if v is not None):
+            raise HazardError("hazard geometry must be finite")
         if self.kind == POINT and (self.center is None or not self.radius or self.radius <= 0):
             raise HazardError("point event needs a center and a positive radius")
         if self.kind == TRACK:
@@ -172,126 +170,3 @@ def sample_scenario(
                 failures.append(ComponentFailure(comp.id, event.occurrence_time, _severity(comp.kind)))
     return DisasterScenario(event=event, failures=tuple(failures), seed=seed, intensity=level)
 
-
-def draw_intensity(rng: np.random.Generator, weights: dict[str, float] | None = None) -> str:
-    """Weighted intensity draw; defaults to the flood occurrence weights."""
-    table = weights or FLOOD_INTENSITY_WEIGHTS
-    levels = sorted(table)
-    p = np.array([table[k] for k in levels], dtype=float)
-    p = p / p.sum()
-    return levels[int(rng.choice(len(levels), p=p))]
-
-
-# ---------------------------------------------------------------------------
-# storm/flood track generation
-
-
-def _catmull_rom(p0, p1, p2, p3, t: float) -> tuple[float, float]:
-    t2, t3 = t * t, t * t * t
-    out = []
-    for k in range(2):
-        a, b, c, d = p0[k], p1[k], p2[k], p3[k]
-        out.append(
-            0.5
-            * (
-                2.0 * b
-                + (-a + c) * t
-                + (2.0 * a - 5.0 * b + 4.0 * c - d) * t2
-                + (-a + 3.0 * b - 3.0 * c + d) * t3
-            )
-        )
-    return (out[0], out[1])
-
-
-def generate_track(
-    bounds: tuple[float, float, float, float],
-    n_control: int = 4,
-    seed: int = 0,
-    min_segments: int = 50,
-) -> tuple[tuple[float, float], ...]:
-    """Smooth random track through the region.
-
-    ``bounds`` is (xmin, ymin, xmax, ymax). Control points are drawn
-    uniformly inside, ordered by x so the track sweeps across the region,
-    and joined by a Catmull-Rom spline discretized to at least
-    ``min_segments`` segments. The spline can overshoot the control hull
-    slightly, so callers should allow a modest margin around the bounds.
-    """
-    xmin, ymin, xmax, ymax = bounds
-    if not (xmax > xmin and ymax > ymin):
-        raise HazardError("degenerate region bounds")
-    if n_control < 2:
-        raise HazardError("need at least two control points")
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(xmin, xmax, size=n_control)
-    ys = rng.uniform(ymin, ymax, size=n_control)
-    pts = sorted(zip(xs.tolist(), ys.tolist()))
-    ctrl = [pts[0]] + pts + [pts[-1]]  # duplicate endpoints for tangents
-
-    n_seg = len(pts) - 1
-    per_seg = max(1, math.ceil(min_segments / n_seg))
-    out: list[tuple[float, float]] = [pts[0]]
-    for s in range(n_seg):
-        p0, p1, p2, p3 = ctrl[s], ctrl[s + 1], ctrl[s + 2], ctrl[s + 3]
-        for j in range(1, per_seg + 1):
-            out.append(_catmull_rom(p0, p1, p2, p3, j / per_seg))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# scenario files
-
-
-def scenario_to_dict(scenario: DisasterScenario) -> dict:
-    ev = scenario.event
-    return {
-        "schema_version": 1,
-        "seed": scenario.seed,
-        "intensity": scenario.intensity,
-        "event": {
-            "kind": ev.kind,
-            "intensity": ev.intensity,
-            "center": list(ev.center) if ev.center else None,
-            "radius": ev.radius,
-            "track": [list(p) for p in ev.track] if ev.track else None,
-            "offset": ev.offset,
-            "count": ev.count,
-            "occurrence_time": ev.occurrence_time,
-        },
-        "failures": [
-            {"component_id": f.component_id, "time": f.time, "severity": f.severity}
-            for f in scenario.failures
-        ],
-    }
-
-
-def scenario_from_dict(doc: dict) -> DisasterScenario:
-    if doc.get("schema_version") != 1:
-        raise HazardError(f"unsupported scenario schema_version {doc.get('schema_version')!r}")
-    e = doc["event"]
-    event = HazardEvent(
-        kind=e["kind"],
-        intensity=e["intensity"],
-        center=tuple(e["center"]) if e.get("center") else None,
-        radius=e.get("radius"),
-        track=tuple(tuple(p) for p in e["track"]) if e.get("track") else None,
-        offset=e.get("offset"),
-        count=e.get("count"),
-        occurrence_time=e.get("occurrence_time", DEFAULT_OCCURRENCE_TIME),
-    )
-    failures = tuple(
-        ComponentFailure(f["component_id"], float(f["time"]), f["severity"])
-        for f in doc["failures"]
-    )
-    return DisasterScenario(event=event, failures=failures, seed=int(doc["seed"]), intensity=doc["intensity"])
-
-
-def save_scenario(scenario: DisasterScenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
-        fh.write("\n")
-
-
-def load_scenario(path: str) -> DisasterScenario:
-    with open(path, encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))

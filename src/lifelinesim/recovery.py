@@ -10,6 +10,7 @@ pipeline, and commits one repair at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable
@@ -83,7 +84,7 @@ def default_crews(net: IntegratedNetwork, start: str | None = None) -> list[Crew
 class PlanningContext:
     peak_flow: dict[str, float]
     crew_start: dict[str, str]
-    travel_time: Callable[[str, str], float] | None = None
+    travel_time: Callable[[str, str], float]
 
 
 def _post_failure_travel(net, statuses) -> Callable[[str, str], float]:
@@ -193,8 +194,8 @@ def rank_components(
             scores = _network_betweenness(net, network)
             key = lambda c: (-scores.get(c.id, 0.0), c.id)
         elif strategy == "crew_distance":
-            if context.travel_time is None or network not in context.crew_start:
-                raise RecoveryError("crew_distance needs crew starts and travel times in the context")
+            if network not in context.crew_start:
+                raise RecoveryError(f"crew_distance needs a crew start for {network} in the context")
             start = context.crew_start[network]
             key = lambda c: (context.travel_time(start, access_node(net, c.id)), c.id)
         else:  # zone
@@ -209,19 +210,11 @@ def rank_components(
 # receding-horizon optimizer
 
 
-def _permutation_count(n: int, k: int) -> int:
-    total = 1
-    for i in range(k):
-        total *= n - i
-    return total
-
-
 def mpc_sequence(
     failed_by_network: dict[str, list[str]],
     horizon: int,
     evaluate: Callable[[dict[str, list[str]]], float],
     completion: dict[str, list[str]] | None = None,
-    max_candidates: int = MPC_CANDIDATE_LIMIT,
 ) -> dict[str, list[str]]:
     """Commit one repair at a time by enumerating k-step orderings.
 
@@ -246,11 +239,10 @@ def mpc_sequence(
     completion = completion or {k: sorted(v) for k, v in remaining.items()}
 
     for network, ids in remaining.items():
-        k_eff = min(horizon, len(ids))
-        count = _permutation_count(len(ids), k_eff)
-        if count > max_candidates:
+        count = math.perm(len(ids), min(horizon, len(ids)))
+        if count > MPC_CANDIDATE_LIMIT:
             raise RecoveryError(
-                f"{count} candidate orderings of {network} exceed the {max_candidates} "
+                f"{count} candidate orderings of {network} exceed the {MPC_CANDIDATE_LIMIT} "
                 "limit; use a heuristic strategy (max_flow, centrality, crew_distance, "
                 "zone) for disruptions this large"
             )

@@ -664,6 +664,8 @@ def simulate(
         raise SimulationError("invalid event table: " + "; ".join(problems))
     if horizon is None:
         horizon = default_horizon(table)
+    elif not math.isfinite(horizon):
+        raise SimulationError(f"horizon {horizon} is not finite")
     elif horizon < table.last_time():
         raise SimulationError(
             f"horizon {horizon} precedes the last event at {table.last_time()}"

@@ -120,6 +120,26 @@ class TestRun:
         assert err.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (("--hazard", "point", "--center", "600,350", "--radius", "nan"), "HazardError"),
+            (("--hazard", "point", "--center", "nan,350", "--radius", "700"), "HazardError"),
+            (("--hazard", "random", "--count", "0"), "HazardError"),
+            (("--hazard", "random", "--count", "3", "--sim-horizon", "inf"), "SimulationError"),
+            (("--hazard", "random", "--count", "3", "--sim-horizon", "nan"), "SimulationError"),
+        ],
+    )
+    def test_bad_input_is_one_line_stage_error(self, tmp_path, caplog, flags, error):
+        out = tmp_path / "results"
+        code = run_cli("run", *flags, "--intensity", "high", "--seed", "42", "--out", str(out))
+        assert code == 1
+        assert not (out / "report.json").exists()
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert errors[0].getMessage().startswith(error + ": ")
+        assert "\n" not in errors[0].getMessage()
+
     def test_unknown_strategy_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli(

@@ -1,26 +1,18 @@
-"""Hazard model: exposure geometry, failure sampling, track generation."""
+"""Hazard model: exposure geometry, failure sampling, event validation."""
 
 import math
 
-import numpy as np
 import pytest
 
 from lifelinesim.hazard import (
     CONDITIONAL_FAILURE,
-    FLOOD_INTENSITY_WEIGHTS,
     INTENSITIES,
     HazardError,
     HazardEvent,
     conditional_failure_probability,
-    draw_intensity,
     exposure_probability,
     failure_probability,
-    generate_track,
-    load_scenario,
     sample_scenario,
-    save_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
     track_distance,
 )
 from lifelinesim.network import Component, IntegratedNetwork, WATER
@@ -42,8 +34,6 @@ SEED7_FAILURES = [
     "WP-W4-W7",
     "WP-W8-W9",
 ]
-
-TRACK_OVERSHOOT_MARGIN = 110.0  # observed max 109.27 over 1000 seeds
 
 
 def _grid_net():
@@ -133,10 +123,6 @@ class TestFailureProbability:
         assert all(a <= b for a, b in zip(ladder, ladder[1:]))
         assert all(0.0 <= p <= 1.0 for p in ladder + ps)
 
-    def test_intensity_weights_normalized(self):
-        assert sum(FLOOD_INTENSITY_WEIGHTS.values()) == pytest.approx(1.0, abs=1e-12)
-        assert FLOOD_INTENSITY_WEIGHTS["high"] == pytest.approx(0.5 / 0.9)
-
 
 class TestSampling:
     def test_frozen_testbed_draw(self, net):
@@ -184,13 +170,6 @@ class TestSampling:
         assert seen <= set(INTENSITIES)
         assert len(seen) >= 2
 
-    def test_draw_intensity_weighted(self):
-        rng = np.random.default_rng(0)
-        draws = [draw_intensity(rng) for _ in range(4000)]
-        freq = {k: draws.count(k) / len(draws) for k in FLOOD_INTENSITY_WEIGHTS}
-        for k, w in FLOOD_INTENSITY_WEIGHTS.items():
-            assert freq[k] == pytest.approx(w, abs=0.04)
-
     def test_empirical_frequency_tracks_probability(self):
         # small-sample version of the statistical acceptance check
         net = _grid_net()
@@ -232,47 +211,15 @@ class TestEventValidation:
         with pytest.raises(HazardError):
             HazardEvent(kind="random", intensity="sunny", count=1)
 
-
-class TestTrackGeneration:
-    def test_length_and_determinism(self):
-        bounds = (0.0, 0.0, 2000.0, 2000.0)
-        t1 = generate_track(bounds, seed=4)
-        t2 = generate_track(bounds, seed=4)
-        assert t1 == t2
-        assert len(t1) >= 51  # at least 50 segments
-        assert generate_track(bounds, seed=5) != t1
-
-    def test_spline_overshoot_bounded(self):
-        bounds = (0.0, 0.0, 2000.0, 2000.0)
-        worst = 0.0
-        for seed in range(1000):
-            pts = np.asarray(generate_track(bounds, seed=seed))
-            over = max(
-                float(np.max(-pts)),  # below 0 on either axis
-                float(np.max(pts - 2000.0)),
-            )
-            worst = max(worst, over)
-        assert worst <= TRACK_OVERSHOOT_MARGIN
-
-    def test_track_usable_in_event(self, net):
-        track = generate_track((0.0, 0.0, 2000.0, 2000.0), seed=9)
-        event = HazardEvent(kind="track", intensity="high", track=track, offset=400.0)
-        scen = sample_scenario(net, event, seed=3)
-        assert isinstance(scen.failures, tuple)
-
-
-class TestSerialization:
-    def test_round_trip_dict(self, net):
-        event = HazardEvent(kind="point", intensity="extreme", center=(1000.0, 1000.0), radius=1500.0)
-        scen = sample_scenario(net, event, seed=7)
-        doc = scenario_to_dict(scen)
-        assert doc["schema_version"] == 1
-        again = scenario_from_dict(doc)
-        assert again == scen
-
-    def test_round_trip_file(self, net, tmp_path):
-        event = HazardEvent(kind="random", intensity="moderate", count=4)
-        scen = sample_scenario(net, event, seed=11)
-        path = str(tmp_path / "scenario.json")
-        save_scenario(scen, path)
-        assert load_scenario(path) == scen
+    @pytest.mark.parametrize("geometry", [
+        {"kind": "point", "center": (0.0, 0.0), "radius": math.nan},
+        {"kind": "point", "center": (0.0, 0.0), "radius": math.inf},
+        {"kind": "point", "center": (math.nan, 350.0), "radius": 700.0},
+        {"kind": "point", "center": (0.0, -math.inf), "radius": 700.0},
+        {"kind": "track", "track": ((0.0, 0.0), (100.0, 0.0)), "offset": math.nan},
+        {"kind": "track", "track": ((0.0, 0.0), (math.inf, 0.0)), "offset": 50.0},
+        {"kind": "track", "track": ((math.nan, 0.0), (100.0, 0.0)), "offset": 50.0},
+    ])
+    def test_non_finite_geometry(self, geometry):
+        with pytest.raises(HazardError, match="finite"):
+            HazardEvent(intensity="high", **geometry)

@@ -1,7 +1,10 @@
-"""Source hygiene: every imported name is used by the module importing it."""
+"""Source hygiene: every imported name is used by the module importing it,
+every exported name exists, and every private definition is referenced."""
 
 import ast
 from pathlib import Path
+
+import lifelinesim
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,6 +26,19 @@ def _unused_imports(path: Path) -> list[str]:
     return sorted(imported - used)
 
 
+def _unreferenced_private_definitions(path: Path) -> list[str]:
+    """Top-level ``_name`` functions and classes, and their ``_name`` methods,
+    that nothing else in the module mentions."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = [node for node in tree.body if isinstance(node, kinds)]
+    defined += [m for c in defined if isinstance(c, ast.ClassDef) for m in c.body if isinstance(m, kinds)]
+    private = {d.name for d in defined if d.name.startswith("_") and not d.name.endswith("__")}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return sorted(private - used)
+
+
 def test_scan_covers_package_tests_and_demos():
     dirs = {p.parent.name for p in _scanned_files()}
     assert dirs == {"lifelinesim", "tests", "demos"}
@@ -31,3 +47,13 @@ def test_scan_covers_package_tests_and_demos():
 def test_no_unused_imports():
     unused = {str(p.relative_to(ROOT)): names for p in _scanned_files() if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def test_exported_names_resolve():
+    assert [name for name in lifelinesim.__all__ if not hasattr(lifelinesim, name)] == []
+
+
+def test_no_unreferenced_private_definitions():
+    package = sorted((ROOT / "src" / "lifelinesim").glob("*.py"))
+    unreferenced = {p.name: names for p in package if (names := _unreferenced_private_definitions(p))}
+    assert unreferenced == {}

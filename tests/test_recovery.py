@@ -248,7 +248,7 @@ class TestMpcSequence:
         with pytest.raises(RecoveryError):
             mpc_sequence({"water": ["a"]}, 0, lambda order: 0.0)
 
-    def test_permutation_count_guard_boundary(self):
+    def test_candidate_limit_boundary(self):
         # P(n, k) exactly at the limit passes; the evaluator then runs
         ids = [f"c{i}" for i in range(7)]  # P(7,5) = 2520 <= 10000
         result = mpc_sequence({"water": ids}, 5, lambda order: len(order["water"]))

@@ -328,6 +328,12 @@ class TestSimulate:
         with pytest.raises(SimulationError, match="horizon"):
             simulate(net, table, horizon=3600.0)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    @pytest.mark.parametrize("rows", [(), (EventRow(1800.0, "PL5", ACTION_FAIL),)])
+    def test_non_finite_horizon_rejected(self, net, horizon, rows):
+        with pytest.raises(SimulationError, match="not finite"):
+            simulate(net, EventTable(rows), horizon=horizon)
+
     def test_feeder_line_outage_propagates(self, net):
         scenario = _scenario([("PL5", "full")])
         result = run_scenario(net, scenario, "max_flow")
