@@ -6,7 +6,11 @@ supplied by total normal demand (volume-weighted). Integrating their
 shortfall over the disruption window yields equivalent outage hours
 (EOH), the scalar used to compare restoration strategies; batch
 comparisons run through a repeated-measures ANOVA and paired t tests
-with Benjamini-Hochberg correction.
+with Benjamini-Hochberg correction. Their p-values come from the
+``scipy.special`` distribution functions ``fdtrc`` (F upper tail) and
+``stdtr`` (Student t CDF), the calls ``scipy.stats`` makes for ``f.sf``
+and ``t.sf``, because importing ``scipy.stats`` roughly doubles the
+start-up time of every CLI process.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import fdtrc, stdtr
 
 LINEAR, STEP = "linear", "step"
 
@@ -277,7 +281,7 @@ def repeated_measures_anova(matrix) -> AnovaResult:
         f_stat, p, degenerate = math.inf, 0.0, True
     else:
         f_stat = ms_strategy / ms_error
-        p = float(stats.f.sf(f_stat, df1, df2))
+        p = float(fdtrc(df1, df2, f_stat))
         degenerate = False
     return AnovaResult(
         f_statistic=f_stat,
@@ -319,7 +323,7 @@ def paired_comparison(sample_a, sample_b) -> PairedResult:
             return PairedResult(0.0, 0.0, 1.0, n)
         return PairedResult(mean, math.copysign(math.inf, mean), 0.0, n, degenerate=True)
     t_stat = mean / (sd / math.sqrt(n))
-    p = 2.0 * float(stats.t.sf(abs(t_stat), n - 1))
+    p = 2.0 * float(stdtr(n - 1, -abs(t_stat)))
     return PairedResult(mean, t_stat, p, n)
 
 

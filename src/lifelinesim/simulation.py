@@ -635,6 +635,11 @@ def default_horizon(table: EventTable) -> float:
     return math.ceil(raw / WATER_SAMPLE_STEP) * WATER_SAMPLE_STEP
 
 
+def _check_finite_horizon(horizon: float | None) -> None:
+    if horizon is not None and not math.isfinite(horizon):
+        raise SimulationError(f"horizon {horizon} is not finite")
+
+
 def simulate(
     net: IntegratedNetwork,
     table: EventTable,
@@ -662,10 +667,9 @@ def simulate(
     problems = table.validate()
     if problems:
         raise SimulationError("invalid event table: " + "; ".join(problems))
+    _check_finite_horizon(horizon)
     if horizon is None:
         horizon = default_horizon(table)
-    elif not math.isfinite(horizon):
-        raise SimulationError(f"horizon {horizon} is not finite")
     elif horizon < table.last_time():
         raise SimulationError(
             f"horizon {horizon} precedes the last event at {table.last_time()}"
@@ -770,6 +774,7 @@ def run_scenario(
         raise RecoveryError(
             f"unknown strategy {strategy!r}; expected one of {sorted(STRATEGIES + ('mpc',))}"
         )
+    _check_finite_horizon(horizon)
     failed = {f.component_id for f in scenario.failures}
     if not failed:
         return simulate(net, EventTable(()), horizon=horizon, snapshots=snapshots)

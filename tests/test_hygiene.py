@@ -1,7 +1,11 @@
 """Source hygiene: every imported name is used by the module importing it,
-every exported name exists, and every private definition is referenced."""
+every exported name exists, every private definition is referenced, and
+the CLI's import path stays clear of slow modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lifelinesim
@@ -57,3 +61,13 @@ def test_no_unreferenced_private_definitions():
     package = sorted((ROOT / "src" / "lifelinesim").glob("*.py"))
     unreferenced = {p.name: names for p in package if (names := _unreferenced_private_definitions(p))}
     assert unreferenced == {}
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats roughly doubles the start-up of every CLI
+    # process; metrics takes its p-values from scipy.special instead
+    src = str(Path(lifelinesim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, lifelinesim.cli; print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from lifelinesim.metrics import (
     DEFAULT_EOH_WEIGHTS,
@@ -300,7 +301,33 @@ class TestWeightedEoh:
             weighted_eoh({"water": 1.0}, {"water": -0.5})
 
 
+@st.composite
+def _anova_matrices(draw):
+    # subject offsets plus strategy effects 1e-6 to 1e4 times the unit
+    # noise: F runs from about 1e-12 to past where the p-value underflows
+    n, k = draw(st.integers(2, 40)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    effect = 10.0 ** draw(st.floats(-6.0, 4.0))
+    return 5.0 * rng.normal(size=(n, 1)) + effect * rng.normal(size=k) + rng.normal(size=(n, k))
+
+
+@st.composite
+def _paired_samples(draw):
+    # mean shifts 1e-8 to 1e3 times the unit noise: |t| from about 1e-8 to 1e4
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-8.0, 3.0))
+    b = rng.normal(10.0, 3.0, size=n)
+    return b + shift + rng.normal(size=n), b
+
+
 class TestAnova:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(matrix=_anova_matrices())
+    def test_p_value_is_scipy_stats_f_sf(self, matrix):
+        res = repeated_measures_anova(matrix)
+        assert res.p_value == float(stats.f.sf(res.f_statistic, res.df_strategy, res.df_error))
+
     def test_hand_worked_matrix(self):
         res = repeated_measures_anova(ANOVA_MATRIX)
         assert res.f_statistic == pytest.approx(ANOVA_F, abs=1e-9)
@@ -345,6 +372,12 @@ class TestAnova:
 
 
 class TestPairedComparison:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(samples=_paired_samples())
+    def test_p_value_is_twice_scipy_stats_t_sf(self, samples):
+        res = paired_comparison(*samples)
+        assert res.p_value == 2.0 * float(stats.t.sf(abs(res.t_statistic), res.n - 1))
+
     def test_hand_worked_pairs(self):
         res = paired_comparison(PAIRED_A, PAIRED_B)
         assert res.t_statistic == pytest.approx(PAIRED_T, abs=1e-9)
@@ -355,8 +388,6 @@ class TestPairedComparison:
         assert res.mean_difference == pytest.approx(d.mean(), abs=1e-15)
         assert res.n == 5
         assert 0.0 < res.p_value < 1.0
-        from scipy import stats
-
         assert res.p_value == pytest.approx(
             2.0 * stats.t.sf(abs(t), len(d) - 1), abs=1e-12
         )

@@ -561,6 +561,16 @@ class TestRunScenario:
         with pytest.raises(RecoveryError, match="strategy"):
             run_scenario(net, scenario, "wishful_thinking")
 
+    @pytest.mark.parametrize("strategy", ["max_flow", "mpc"])
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected_before_planning(self, net, monkeypatch, horizon, strategy):
+        def refuse(*args, **kwargs):
+            raise AssertionError("planning context built for a non-finite horizon")
+
+        monkeypatch.setattr(simulation, "build_planning_context", refuse)
+        with pytest.raises(SimulationError, match="not finite"):
+            run_scenario(net, _scenario([("PL5", "full")]), strategy, horizon=horizon)
+
     def test_no_failures_full_service(self, net):
         scenario = DisasterScenario(
             event=HazardEvent(kind="point", center=(0.0, 0.0), radius=10.0),
