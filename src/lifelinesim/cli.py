@@ -510,6 +510,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--scenarios must be >= 1")
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if getattr(args, "horizon", None) is not None and args.horizon < 1:
+        parser.error("--horizon must be >= 1")
 
     try:
         return args.func(args)

@@ -99,7 +99,9 @@ class HydraulicState:
 
     The last five fields are filled only by ``solve(full=True)``, as
     ``solve_hydraulics`` asks; the interdependent replay reads none of
-    them and leaves them ``None``.
+    them and leaves them ``None``. ``residual`` and ``iterations`` are
+    those of the Newton run, also when a simulator's Newton table
+    returned it for a repeated solve.
     """
 
     time: float
@@ -324,6 +326,12 @@ class WaterSimulator:
 
     Each topology it meets is compiled once per network: the compiled
     ``_System`` is kept in the network memo under ``system_key``.
+
+    ``solves`` is a Newton table: each Newton run, keyed on all that it
+    reads (the compiled system, the fixed heads and the start vectors).
+    A solve with the same inputs returns the stored result, read-only
+    arrays included, bit for bit. The replays of one snapshot store
+    share one table.
     """
 
     def __init__(
@@ -348,6 +356,7 @@ class WaterSimulator:
         self._warm_q: dict[str, float] = {}
         self._last_state: HydraulicState | None = None
         self._solved_levels: dict[str, float] | None = None
+        self.solves: dict[tuple, tuple] = {}
 
     # -- configuration ----------------------------------------------------
 
@@ -370,7 +379,8 @@ class WaterSimulator:
     # -- Newton solve ----------------------------------------------------
 
     def _solve_system(self, sys: _System, fixed: list[float]):
-        prm = self.params
+        """``(q, h, norm, iters)`` of the Newton solve from the warm start,
+        run once per distinct input: a repeat returns the stored result."""
         nj, nl = len(sys.junction_ids), len(sys.link_ids)
         if nj == 0 and nl == 0:
             return np.zeros(0), np.zeros(0), 0.0, 0
@@ -380,7 +390,21 @@ class WaterSimulator:
         default_h = max(fixed, default=0.0) + 5.0
         h = np.array([self._warm_h.get(jid, default_h + z) for jid, z in zip(sys.junction_ids, sys.junction_z)])
         q = np.array([self._warm_q.get(rid, 0.01) for rid in sys.link_ids])
+        # ``_newton`` reads nothing but these, ``sys.params`` included
+        key = (sys, heads[nj:].tobytes(), h.tobytes(), q.tobytes())
+        solution = self.solves.get(key)
+        if solution is None:
+            solution = self._newton(sys, heads, q, h)
+            solution[0].flags.writeable = solution[1].flags.writeable = False
+            self.solves[key] = solution
+        return solution
 
+    @staticmethod
+    def _newton(sys: _System, heads, q, h):
+        """Damped Newton from flows ``q`` and junction heads ``h``;
+        ``heads`` holds the fixed heads at its tail."""
+        prm = sys.params
+        nj, nl = len(sys.junction_ids), len(sys.link_ids)
         F, terms = sys.residual(q, h, heads)
         norm = float(np.abs(F).max())
         iters = 0

@@ -230,7 +230,8 @@ def mpc_sequence(
 
     The candidate passed to ``evaluate`` maps network -> repair order;
     the optimized network's order may cover only the horizon, leaving
-    later repairs unscheduled within that evaluation.
+    later repairs unscheduled within that evaluation. A network with one
+    component left commits it unscored, since no other choice exists.
     """
     if horizon < 1:
         raise RecoveryError("prediction horizon must be >= 1")
@@ -250,6 +251,9 @@ def mpc_sequence(
     while any(remaining.values()):
         for network in sorted(remaining):
             if not remaining[network]:
+                continue
+            if len(remaining[network]) == 1:  # forced: nothing to compare
+                committed[network].append(remaining[network].pop())
                 continue
             k_eff = min(horizon, len(remaining[network]))
             best_value: float | None = None

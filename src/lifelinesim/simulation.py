@@ -70,6 +70,7 @@ POST_RECOVERY_WINDOW = 24 * 3600.0
 BLOCKED_ROAD_FACTOR = 5.0  # failed-link slowdown when crews must cross anyway
 
 _TIME_TOL = 1e-9
+_NEWTON_SOLVES = "newton_solves"  # the replay store's key for its Newton table
 
 
 class SimulationError(Exception):
@@ -564,7 +565,9 @@ def _run_series(
     ``net`` may share one store. After the horizon sample it stores one
     more snapshot, under (all rows, horizon, "sampled"): a ledger replayed
     before, to the same horizon, resumes there and solves nothing.
-    Without a store it builds no keys and takes no snapshots.
+    Without a store it builds no keys and takes no snapshots. The store
+    also holds the Newton table (see ``WaterSimulator``) that all its
+    replays share.
     """
     by_time = _status_timeline(table)
     boundaries = sorted({0.0, horizon, *by_time})
@@ -574,6 +577,7 @@ def _run_series(
     replay = _Replay(net)
     start = 0
     if snapshots is not None:
+        replay.sim.solves = snapshots.setdefault(_NEWTON_SOLVES, {})
         times = [row.time for row in table.rows]
         keys = [(table.rows[: bisect_left(times, a)], a) for a in boundaries]
         keys.append((table.rows, horizon, "sampled"))
@@ -661,8 +665,8 @@ def simulate(
     forced-off generators. ``snapshots`` is a store that replays of
     ledgers with a common start share: each resumes from the latest
     event boundary before which its rows match a replay already stored
-    (see ``_run_series``). The caller owns it; the network memo never
-    holds it.
+    (see ``_run_series``), and runs each distinct Newton solve of those
+    replays once. The caller owns it; the network memo never holds it.
     """
     problems = table.validate()
     if problems:
@@ -729,8 +733,9 @@ def make_weighted_eoh_evaluator(
     Candidates share work through two stores that live as long as the
     evaluator: a ledger seen before is not replayed, and each replay
     resumes from the snapshot at the last event boundary it shares with
-    an earlier candidate's ledger. Pass ``snapshots`` to keep that store
-    for a later ``simulate`` of the chosen order.
+    an earlier candidate's ledger, running only the Newton solves that
+    no earlier replay ran. Pass ``snapshots`` to keep that store for a
+    later ``simulate`` of the chosen order.
     """
     total_repair = sum(
         repair_duration(net.component(f.component_id).kind) for f in scenario.failures
@@ -768,12 +773,16 @@ def run_scenario(
     shares between runs of one scenario, such as its strategies in a
     batch: each replay, mpc candidates included, resumes from the latest
     event boundary before which its ledger matches one already replayed
-    into the store. An mpc run without one uses a store of its own.
+    into the store, and each distinct Newton solve runs once. An mpc run
+    without one uses a store of its own. An ``mpc_horizon`` below 1 is
+    rejected before any planning work.
     """
     if strategy != "mpc" and strategy not in STRATEGIES:
         raise RecoveryError(
             f"unknown strategy {strategy!r}; expected one of {sorted(STRATEGIES + ('mpc',))}"
         )
+    if strategy == "mpc" and mpc_horizon < 1:
+        raise RecoveryError("prediction horizon must be >= 1")
     _check_finite_horizon(horizon)
     failed = {f.component_id for f in scenario.failures}
     if not failed:

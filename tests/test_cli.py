@@ -252,3 +252,21 @@ class TestBatch:
                 "--scenarios", "0", "--out", str(tmp_path),
             )
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["run", "batch"])
+@pytest.mark.parametrize("strategy", ["mpc", "max_flow"])
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_horizon_below_one_is_usage_error(tmp_path, monkeypatch, command, strategy, horizon):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scenario run for a horizon below 1")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run_cli(
+            command, "--hazard", "random", "--count", "6", "--intensity", "extreme", "--seed", "1",
+            "--strategy", strategy, "--horizon", horizon, "--out", str(out),
+        )
+    assert err.value.code == 2
+    assert not out.exists()

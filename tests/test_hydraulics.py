@@ -550,3 +550,106 @@ class TestCompiledKernel:
                 sim.advance(60.0)
             states.append(run)
         assert states[0] == states[1]
+
+
+class _Forgetful(dict):
+    """A Newton table that keeps nothing, so every solve runs Newton."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _replay_ledger(sim, ledger):
+    """Solve and step one minute at a time through ``(statuses, minutes)``
+    pairs; returns the full states."""
+    states = []
+    for statuses, minutes in ledger:
+        sim.set_statuses(statuses)
+        for _ in range(minutes):
+            states.append(sim.solve(60.0 * len(states)))
+            sim.advance(60.0)
+    return states
+
+
+class TestNewtonTable:
+    """A solve found in the Newton table returns, to the bit, what the
+    Newton iteration computes from the same inputs; any other input runs
+    it. Dropping the start heads or the fixed heads from the key fails
+    here."""
+
+    FAIL_PIPE = {"WP-W1-W2": "failed"}
+    FAIL_BOTH = {"WP-W1-W2": "failed", "WP-W6-W9": "failed"}
+
+    def test_shared_table_equals_fresh_solves(self, monkeypatch, net):
+        results: dict[WaterSimulator, list] = {}
+        newton_runs = []
+        solve_system, newton = WaterSimulator._solve_system, WaterSimulator._newton
+
+        def recording(sim, sys, fixed):
+            got = solve_system(sim, sys, fixed)
+            results.setdefault(sim, []).append((got[0].tobytes(), got[1].tobytes(), *got[2:]))
+            return got
+
+        monkeypatch.setattr(WaterSimulator, "_solve_system", recording)
+        monkeypatch.setattr(WaterSimulator, "_newton", staticmethod(lambda *a: newton_runs.append(1) or newton(*a)))
+
+        first = WaterSimulator(net)
+        _replay_ledger(first, [({}, 2), (self.FAIL_PIPE, 8), (self.FAIL_BOTH, 4)])
+        # the same failure three minutes later, from the same frozen
+        # undisrupted state, then a second failure the first ledger lacks
+        ledger = [({}, 5), (self.FAIL_PIPE, 6), ({**self.FAIL_PIPE, "WPU1": "failed"}, 4)]
+        shared, fresh = WaterSimulator(net), WaterSimulator(net)
+        shared.solves, fresh.solves = first.solves, _Forgetful()
+        del newton_runs[:]
+        got = _replay_ledger(shared, ledger)
+        runs = len(newton_runs)
+        assert got == _replay_ledger(fresh, ledger)
+        assert results[shared] == results[fresh]
+        # the undisrupted minutes and the shifted failure's hit; the
+        # second failure, new to the table, runs Newton
+        assert len(results[shared]) - runs >= 11 and runs >= 1
+
+    def test_any_changed_input_misses(self, monkeypatch, net):
+        newton_runs = []
+        newton = WaterSimulator._newton
+        monkeypatch.setattr(WaterSimulator, "_newton", staticmethod(lambda *a: newton_runs.append(1) or newton(*a)))
+        sim = WaterSimulator(net)
+        sim.set_statuses(self.FAIL_PIPE)
+        sys = sim._system(set())
+        fixed = sys.fixed_heads(sim.tank_level)
+        # a full warm start, so that the start vectors ignore the fixed heads
+        sim._warm_h = dict(zip(sys.junction_ids, sys.junction_z + 15.0))
+        sim._warm_q = dict.fromkeys(sys.link_ids, 0.02)
+        base = sim._solve_system(sys, fixed)
+        assert sim._solve_system(sys, list(fixed)) is base and len(newton_runs) == 1
+
+        for k in range(len(fixed)):
+            nudged = list(fixed)
+            nudged[k] = float(np.nextafter(nudged[k], math.inf))
+            sim._solve_system(sys, nudged)
+            assert len(newton_runs) == 2 + k
+        jid = sys.junction_ids[0]
+        sim._warm_h = {**sim._warm_h, jid: float(np.nextafter(sim._warm_h[jid], 0.0))}
+        sim._solve_system(sys, fixed)
+        assert len(newton_runs) == 2 + len(fixed)
+        lid = sys.link_ids[0]
+        sim._warm_q = {**sim._warm_q, lid: float(np.nextafter(sim._warm_q[lid], 1.0))}
+        sim._solve_system(sys, fixed)
+        assert len(newton_runs) == 3 + len(fixed)
+        # same arrays, start vectors and fixed heads; another topology
+        other = WaterSimulator(net, HydraulicParams(pf=12.0))
+        other.set_statuses(self.FAIL_PIPE)
+        other.solves = sim.solves
+        other_sys = other._system(set())
+        assert len(other_sys.link_ids) == len(sys.link_ids) and other_sys is not sys
+        other._warm_h, other._warm_q = sim._warm_h, sim._warm_q
+        other._solve_system(other_sys, fixed)
+        assert len(newton_runs) == 4 + len(fixed)
+
+    def test_stored_arrays_are_read_only(self, net):
+        sim = WaterSimulator(net)
+        sys = sim._system(set())
+        q, h, _, _ = sim._solve_system(sys, sys.fixed_heads(sim.tank_level))
+        for stored in (q, h):
+            with pytest.raises(ValueError):
+                stored[0] = 0.0

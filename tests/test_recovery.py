@@ -2,8 +2,8 @@
 
 import pytest
 
-from lifelinesim import graphs, recovery
-from lifelinesim.hazard import HazardEvent, sample_scenario
+from lifelinesim import graphs, recovery, simulation
+from lifelinesim.hazard import ComponentFailure, DisasterScenario, HazardEvent, sample_scenario
 from lifelinesim.network import (
     Component,
     IntegratedNetwork,
@@ -243,6 +243,39 @@ class TestMpcSequence:
         # during water's first commit, power must appear in completion order
         water_first = [s for s in seen if len(s["water"]) == 1 and s["power"] == ("p1",)]
         assert water_first
+
+    def test_forced_choices_are_not_scored(self):
+        calls = []
+
+        def evaluate(order):
+            calls.append({k: tuple(v) for k, v in order.items()})
+            return sum(i * ord(c[-1]) for k in order for i, c in enumerate(order[k]))
+
+        result = mpc_sequence({"water": ["w1", "w2", "w3"], "power": ["p1"]}, 2, evaluate)
+        # P(3, 2) candidates, then P(2, 2); power's only component and
+        # water's last one are committed unscored
+        assert len(calls) == 6 + 2
+        # the order scoring those two as well commits
+        assert result == {"water": ["w2", "w3", "w1"], "power": ["p1"]}
+
+    def test_one_failure_per_network_is_never_scored(self, monkeypatch):
+        def refuse(order):
+            raise AssertionError(f"forced choice scored: {order}")
+
+        failed = {"water": ["WP-W1-W2"], "power": ["PL1"], "traffic": ["TL-T5-T2"]}
+        assert mpc_sequence(failed, 2, refuse) == failed
+        # through the pipeline: only the final order is simulated, and it
+        # is the only order there is
+        net = build_simple_testbed()
+        event = HazardEvent(kind="random", intensity="moderate", count=3, occurrence_time=3600.0)
+        failures = tuple(ComponentFailure(ids[0], 3600.0, "full") for ids in failed.values())
+        scenario = DisasterScenario(event=event, failures=failures, seed=0, intensity="moderate")
+        simulates = []
+        simulate = simulation.simulate
+        monkeypatch.setattr(simulation, "simulate", lambda *a, **k: simulates.append(a) or simulate(*a, **k))
+        result = run_scenario(net, scenario, "mpc")
+        assert len(simulates) == 1
+        assert result.event_table == run_scenario(net, scenario, "max_flow").event_table
 
     def test_invalid_horizon(self):
         with pytest.raises(RecoveryError):

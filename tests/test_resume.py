@@ -1,8 +1,11 @@
 """An mpc run resumes its candidate replays and its final run from one
 snapshot store, and the strategies of a batch scenario share one; each
-replay equals a fresh replay, and the store dies with the run or the
-scenario. (Resumption across horizons and the dry-tank coupling are
+replay equals a fresh replay, the replays share their Newton solves, and
+the store and its Newton table die with the run or the scenario. (Resumption across horizons and the dry-tank coupling are
 tested in ``test_simulation.py``.)"""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -41,6 +44,27 @@ def _count_resumes(monkeypatch):
 
     monkeypatch.setattr(simulation._Replay, "resume", counted)
     return resumes
+
+
+def _newton_results(monkeypatch):
+    """Weak references to the flows of every Newton run, which the Newton
+    table of a replay store or of a simulator holds."""
+    refs = []
+    newton = WaterSimulator._newton
+
+    def recorded(*args):
+        solution = newton(*args)
+        refs.append(weakref.ref(solution[0]))
+        return solution
+
+    monkeypatch.setattr(WaterSimulator, "_newton", staticmethod(recorded))
+    return refs
+
+
+def _assert_nothing_kept(net, refs):
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)  # no table outlives its store
+    assert {key[0] for key in net._memo} <= MEMO_KINDS
 
 
 def _recording_simulate(monkeypatch):
@@ -89,10 +113,24 @@ def test_mpc_choices_do_not_depend_on_the_store(monkeypatch):
     _assert_same_replay(with_store, without)
 
 
-def test_no_snapshot_outlives_the_run():
+def test_no_snapshot_outlives_the_run(monkeypatch):
     net = build_simple_testbed()
+    refs = _newton_results(monkeypatch)
     run_scenario(net, _mpc_scenario(net, 2), "mpc")
-    assert {key[0] for key in net._memo} <= MEMO_KINDS
+    _assert_nothing_kept(net, refs)
+
+
+def test_mpc_candidates_share_newton_solves(monkeypatch):
+    # a replay store keeps each distinct Newton solve: candidates that
+    # differ only in rows the water state ignores, and time-shifted
+    # copies of one water trajectory, run none again
+    calls = []
+    solve_system = WaterSimulator._solve_system
+    monkeypatch.setattr(WaterSimulator, "_solve_system", lambda sim, *a: calls.append(1) or solve_system(sim, *a))
+    refs = _newton_results(monkeypatch)
+    net = build_simple_testbed()
+    run_scenario(net, _mpc_scenario(net, 1), "mpc")
+    assert len(calls) - len(refs) >= 0.4 * len(calls)
 
 
 def test_runs_without_a_store_take_no_snapshots(monkeypatch):
@@ -144,10 +182,12 @@ def test_a_batch_scenario_shares_one_store_that_dies_with_it(monkeypatch):
     net = build_simple_testbed()
     event = HazardEvent(kind="random", intensity="extreme", count=6)
     calls, _ = _recording_simulate(monkeypatch)
+    refs = _newton_results(monkeypatch)
     record = cli._batch_worker((net, 0, 2, ["max_flow", "zone", "mpc"], event, 1.0, 2))
     assert "error" not in record
     assert len({id(store) for *_, store, _ in calls}) == 1 and calls[0][2] is not None
-    assert {key[0] for key in net._memo} <= MEMO_KINDS
+    del calls[:]  # the recorded results hold the stores
+    _assert_nothing_kept(net, refs)
 
 
 @pytest.mark.parametrize("horizon", ["default", "last_event", "off_grid"])

@@ -571,6 +571,16 @@ class TestRunScenario:
         with pytest.raises(SimulationError, match="not finite"):
             run_scenario(net, _scenario([("PL5", "full")]), strategy, horizon=horizon)
 
+    @pytest.mark.parametrize("failures", [[("PL5", "full")], []])
+    def test_mpc_horizon_below_one_rejected_before_planning(self, net, monkeypatch, failures):
+        def refuse(*args, **kwargs):
+            raise AssertionError("planning context built for an mpc horizon below 1")
+
+        monkeypatch.setattr(simulation, "build_planning_context", refuse)
+        for mpc_horizon in (0, -1):
+            with pytest.raises(RecoveryError, match="horizon"):
+                run_scenario(net, _scenario(failures), "mpc", mpc_horizon=mpc_horizon)
+
     def test_no_failures_full_service(self, net):
         scenario = DisasterScenario(
             event=HazardEvent(kind="point", center=(0.0, 0.0), radius=10.0),
