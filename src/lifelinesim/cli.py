@@ -406,20 +406,16 @@ def _cmd_batch(args) -> int:
 def _cmd_validate(args) -> int:
     log.info("validating %s", args.network)
     try:
-        net = _load_net(args.network)
-    except NetworkValidationError as exc:
-        for v in exc.violations:
-            print(f"{v.component_id}: {v.message}")
-        print(f"INVALID: {len(exc.violations)} violation(s)")
-        return 1
-    violations = validate_network(net)
-    if violations:
-        for v in violations:
-            print(f"{v.component_id}: {v.message}")
-        print(f"INVALID: {len(violations)} violation(s)")
-        return 1
-    print("OK: network is valid")
-    return 0
+        violations = validate_network(_load_net(args.network))
+    except NetworkValidationError as exc:  # the loader already rejected it
+        violations = exc.violations
+    if not violations:
+        print("OK: network is valid")
+        return 0
+    for v in violations:
+        print(f"{v.component_id}: {v.message}")
+    print(f"INVALID: {len(violations)} violation(s)")
+    return 1
 
 
 def _cmd_make_testbed(args) -> int:

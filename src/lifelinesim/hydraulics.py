@@ -109,7 +109,6 @@ class HydraulicState:
     tank_level: dict[str, float]
     tank_inflow: dict[str, float]
     dry_tanks: list[str]
-    dead_nodes: list[str]
     residual: float
     iterations: int
     node_head: dict[str, float] | None = None
@@ -136,7 +135,9 @@ def system_key(
     closed_tanks: set[str],
 ) -> tuple:
     """Memo key of a compiled topology: the parameters, the water
-    components' in-service flags, the forced-off set and the closed tanks."""
+    components whose in-service flag the statuses change
+    (``IntegratedNetwork.service_key``), the forced-off set and the
+    closed tanks."""
     return (
         "water_system",
         params,
@@ -206,8 +207,7 @@ class _System:
         for comp in graphs.connected_components(junction_ids + self.fixed_ids, edges):
             if comp & fixed:
                 live |= comp
-        self.dead_nodes = sorted(set(junction_ids) - live)
-        dead = set(self.dead_nodes)
+        dead = set(junction_ids) - live
 
         kept = [j for j in junctions if j[0] not in dead]
         self.junction_ids = [j[0] for j in kept]
@@ -556,7 +556,6 @@ class WaterSimulator:
             tank_level=dict(self.tank_level),
             tank_inflow={t: float(v) for t, v in tank_inflow.items()},
             dry_tanks=sorted(dry),
-            dead_nodes=list(sys.dead_nodes),
             residual=res_norm,
             iterations=iters,
         )

@@ -198,12 +198,17 @@ class IntegratedNetwork:
         return value
 
     def service_key(self, network: str, component_statuses: dict[str, str]) -> frozenset:
-        """Whether each component of ``network`` listed in the statuses is
-        in service: all that a solver of that network reads from them."""
+        """The components of ``network`` whose in-service flag the statuses
+        change from the component's own status, each with its new flag:
+        all that a solver of that network reads from them. A repaired
+        component keys like one that never failed, unless its own status
+        is out of service."""
         return frozenset(
             (cid, status in IN_SERVICE)
             for cid, status in component_statuses.items()
-            if cid in self._by_id and self._by_id[cid].network == network
+            if cid in self._by_id
+            and self._by_id[cid].network == network
+            and (status in IN_SERVICE) != (self._by_id[cid].status in IN_SERVICE)
         )
 
     def component(self, component_id: str) -> Component:

@@ -28,9 +28,13 @@ class PowerFlowError(Exception):
 
 @dataclass
 class PowerState:
-    """Dispatch result for one statuses snapshot."""
+    """Dispatch result for one statuses snapshot.
 
-    bus_angle: dict[str, float]
+    A bus is energized when its island has an in-service source.
+    ``balance_residual`` is the worst supernode imbalance of the reported
+    generation, clipped service and branch angles, in MW.
+    """
+
     line_flow: dict[str, float]
     served: dict[str, float]
     shed: dict[str, float]
@@ -89,14 +93,13 @@ def solve_power(
     islands = graphs.connected_components(
         supernodes, [(root(c.ends[0]), root(c.ends[1])) for c in live_branches]
     )
-    island_of = {n: i for i, comp in enumerate(islands) for n in comp}
 
-    angle = {n: 0.0 for n in supernodes}
     flow = {c.id: 0.0 for c in branches}
     served = {c.id: 0.0 for c in consumers}
     generation = {s.id: 0.0 for s in sources}
     total_cost = 0.0
     worst_residual = 0.0
+    live: set[str] = set()  # supernodes of islands with a source
 
     for i, island in enumerate(sorted(islands, key=lambda s: sorted(s)[0])):
         nodes = sorted(island)
@@ -112,7 +115,8 @@ def solve_power(
         isl_consumers = [c for c in consumers if root(c.buses[0]) in island]
 
         if not isl_sources:
-            continue  # fully shed, angles stay 0, flows stay 0
+            continue  # fully shed, flows stay 0
+        live |= island
 
         n_n, n_b, n_g, n_c = len(nodes), len(isl_branches), len(isl_sources), len(isl_consumers)
         n_x = n_n + n_g + n_c  # theta, generation, served
@@ -183,8 +187,6 @@ def solve_power(
         res = run(obj2, np.vstack([a_eq, lock]), np.append(b_eq, best_served))
 
         x = res.x
-        for n in nodes:
-            angle[n] = float(x[nidx[n]])
         for c in isl_branches:
             a, b = root(c.ends[0]), root(c.ends[1])
             flow[c.id] = float(c.attrs["susceptance"] * (x[nidx[a]] - x[nidx[b]]))
@@ -194,40 +196,17 @@ def solve_power(
             # HiGHS may overshoot either bound by round-off (-6.1e-11 MW seen)
             served[c.id] = float(min(max(x[srv0 + k], 0.0), c.attrs["demand_mw"]))
         total_cost += float(cost @ x[gen0:srv0])
-
-        # energy balance audit per supernode
-        for n in nodes:
-            inj = sum(generation[s.id] for s in isl_sources if root(sorted(s.buses)[0]) == n)
-            inj -= sum(served[c.id] for c in isl_consumers if root(c.buses[0]) == n)
-            net_flow = 0.0
-            for c in isl_branches:
-                a, b = root(c.ends[0]), root(c.ends[1])
-                if a == n:
-                    net_flow += flow[c.id]
-                elif b == n:
-                    net_flow -= flow[c.id]
-            worst_residual = max(worst_residual, abs(inj - net_flow))
+        # energy balance audit: the supernode rows at the reported solution
+        reported = np.concatenate([x[:srv0], [served[c.id] for c in isl_consumers]])
+        worst_residual = max(worst_residual, float(np.abs(a_eq[:n_n] @ reported).max()))
 
     shed = {c.id: float(c.attrs["demand_mw"] - served[c.id]) for c in consumers}
-    energized = {}
-    for b in buses:
-        isl = islands[island_of[root(b)]]
-        has_source = any(
-            root(sorted(s.buses)[0]) in isl
-            and s.id not in off
-            and _status(net, statuses, s.id) in IN_SERVICE
-            for s in sources
-        )
-        energized[b] = has_source
-    bus_angle = {b: angle[root(b)] for b in buses}
-
     return PowerState(
-        bus_angle=bus_angle,
         line_flow=flow,
         served=served,
         shed=shed,
         generation=generation,
-        energized=energized,
+        energized={b: root(b) in live for b in buses},
         total_shed=float(sum(shed.values())),
         total_cost=total_cost,
         balance_residual=worst_residual,
@@ -240,7 +219,9 @@ def dispatch_key(
     forced_off: set[str] | None = None,
 ) -> tuple:
     """Memo key of the dispatch ``solve_power`` returns: the power
-    components' in-service flags and the forced-off sources."""
+    components whose in-service flag the statuses change
+    (``IntegratedNetwork.service_key``) and the forced-off sources. A
+    fully repaired network keys like the undisrupted one."""
     return (
         "dispatch",
         net.service_key(POWER, component_statuses or {}),

@@ -24,7 +24,7 @@ from .network import (
     IntegratedNetwork,
     access_node,
 )
-from .powerflow import solve_power
+from .powerflow import dispatch_key, solve_power
 from .traffic import assign_traffic, link_times_key, road_distances
 
 STRATEGIES = ("max_flow", "centrality", "crew_distance", "zone")
@@ -89,7 +89,7 @@ class PlanningContext:
 
 def _post_failure_travel(net, statuses) -> Callable[[str, str], float]:
     """Congested origin->destination times under current road conditions."""
-    times = net.cached(link_times_key(net, statuses), lambda: assign_traffic(net, statuses).link_time)
+    times = net.cached(link_times_key(net, statuses), lambda: assign_traffic(net, statuses)).link_time
     dist_cache: dict[str, dict[str, float]] = {}
 
     def travel(origin: str, destination: str) -> float:
@@ -110,11 +110,12 @@ def build_planning_context(
     Peak flows come from undisrupted solver runs (an hour of hydraulics
     to catch tank-driven drift, one dispatch, one assignment). They
     depend only on the network, so they are solved once per network and
-    shared by later calls. Travel times are congested times under the
-    post-failure road network, since that is what a crew leaving its
-    garage actually faces; the assignment behind them is solved once
-    per network and set of road-link statuses, and shared with
-    ``build_event_table``.
+    shared by later calls; the dispatch and the assignment are the memo
+    entries that runs read for their undisrupted and fully repaired
+    states. Travel times are congested times under the post-failure road
+    network, since that is what a crew leaving its garage actually
+    faces; the assignment behind them is solved once per network and
+    set of road-link outages, and shared with ``build_event_table``.
     """
     crews = crews if crews is not None else default_crews(net)
     peak = net.cached(("peak_flow",), lambda: _peak_flows(net))
@@ -133,11 +134,11 @@ def _peak_flows(net: IntegratedNetwork) -> dict[str, float]:
     for lid in states[0].link_flow:
         peak[lid] = max(abs(s.link_flow[lid]) for s in states)
 
-    power = solve_power(net, {})
+    power = net.cached(dispatch_key(net), lambda: solve_power(net, {}))
     for bid, q in power.line_flow.items():
         peak[bid] = abs(q)
 
-    flows = assign_traffic(net, {})
+    flows = net.cached(link_times_key(net, {}), lambda: assign_traffic(net, {}))
     for lid, x in flows.link_flow.items():
         peak[lid] = abs(x)
     return peak

@@ -268,12 +268,9 @@ def build_event_table(
 
     statuses: dict[str, str] = {f.component_id: STATUS_FAILED for f in scenario.failures}
 
-    def refresh_times() -> dict[str, float] | None:
+    def refresh_times() -> dict[str, float]:
         try:
-            return net.cached(
-                link_times_key(net, statuses),
-                lambda: assign_traffic(net, statuses).link_time,
-            )
+            return net.cached(link_times_key(net, statuses), lambda: assign_traffic(net, statuses)).link_time
         except TrafficAssignmentError as exc:
             raise SimulationError(f"traffic assignment failed during scheduling: {exc}") from exc
 

@@ -278,7 +278,8 @@ def assign_traffic(
 
 
 def link_times_key(net: IntegratedNetwork, component_statuses: dict[str, str]) -> tuple:
-    """Memo key of the congested link times ``assign_traffic`` returns
-    with its default parameters: the road links' in-service flags."""
+    """Memo key of the ``TrafficState`` ``assign_traffic`` returns with
+    its default parameters: the road links whose in-service flag the
+    statuses change (``IntegratedNetwork.service_key``)."""
     return ("link_times", net.service_key(TRAFFIC, component_statuses))
 

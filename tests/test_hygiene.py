@@ -1,8 +1,10 @@
 """Source hygiene: every imported name is used by the module importing it,
-every exported name exists, every private definition is referenced, and
-the CLI's import path stays clear of slow modules."""
+every exported name exists, every private definition is referenced, the
+CLI's import path stays clear of slow modules, and every binding the
+benchmark's tracer wraps still exists."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -71,3 +73,21 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     code = "import sys, lifelinesim.cli; print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_finds_every_binding_it_wraps():
+    # the tracer patches module attributes by name (recovery.solve_power,
+    # simulation.assign_traffic, graphs.dijkstra, ...), so dropping one
+    # breaks traced benchmark runs
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    bindings = [b for spans in tracer.SPANS.values() for b in spans]
+    originals = [owner.__dict__[attr] for owner, attr in bindings]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert all(owner.__dict__[attr] is not fn for (owner, attr), fn in zip(bindings, originals))
+    finally:
+        t.uninstall()
+    assert all(owner.__dict__[attr] is fn for (owner, attr), fn in zip(bindings, originals))

@@ -2,14 +2,19 @@
 per-network memo (runs on a reused network equal runs without a memo)
 and the jump over frozen water minutes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from lifelinesim import recovery, simulation
 from lifelinesim.hazard import ComponentFailure, DisasterScenario, HazardEvent
 from lifelinesim.hydraulics import WaterSimulator
-from lifelinesim.powerflow import solve_power
+from lifelinesim.network import IN_SERVICE, POWER, IntegratedNetwork
+from lifelinesim.powerflow import dispatch_key, solve_power
 from lifelinesim.recovery import build_planning_context, default_crews
 from lifelinesim.simulation import (
+    ACTION_REPAIR_END,
     EventTable,
     _baseline_water,
     _dispatch,
@@ -114,6 +119,47 @@ def test_dispatch_memo_keeps_forced_off_sources_apart():
     forced = _dispatch(net, {}, {"PG1"})
     assert forced.generation["PG1"] == 0.0
     assert forced == solve_power(build_simple_testbed(), {}, forced_off={"PG1"})
+
+
+def test_restored_power_dispatches_once_with_the_undisrupted_state(monkeypatch):
+    net = build_simple_testbed()
+    calls = []
+
+    def counted(net, statuses=None, forced_off=None):
+        calls.append(dispatch_key(net, statuses, forced_off))
+        return solve_power(net, statuses, forced_off=forced_off)
+
+    for module in (recovery, simulation):
+        monkeypatch.setattr(module, "solve_power", counted)
+    result = run_scenario(net, _scenario(), "max_flow")
+    (end,) = [r.time for r in result.event_table.of_action(ACTION_REPAIR_END) if r.component_id == "PL5"]
+    assert end < result.horizon
+    # the repairs restore PL5, so the last state keys like the first
+    assert calls.count(dispatch_key(net)) == 1
+    assert len(calls) == len(set(calls))
+
+
+def _marked_failed(component_id: str) -> IntegratedNetwork:
+    """The testbed with one component marked failed by the network itself."""
+    base = build_simple_testbed()
+    comps = [replace(c, status="failed") if c.id == component_id else c for c in base.components]
+    return IntegratedNetwork(comps, base.dependencies, base.od_matrix, base.zone_priority)
+
+
+def test_repaired_keys_like_never_failed_unless_the_network_marks_it_failed():
+    net = build_simple_testbed()
+    assert net.service_key(POWER, {"PL5": "repaired"}) == net.service_key(POWER, {}) == frozenset()
+    assert _dispatch(net, {"PL5": "repaired"}) is _dispatch(net, {})
+
+    marked = _marked_failed("PL5")
+    assert marked.component("PL5").status not in IN_SERVICE
+    assert marked.service_key(POWER, {"PL5": "repaired"}) == {("PL5", True)}
+    assert marked.service_key(POWER, {"PL5": "failed"}) == marked.service_key(POWER, {}) == frozenset()
+    restored, unrepaired = _dispatch(marked, {"PL5": "repaired"}), _dispatch(marked, {})
+    assert restored == solve_power(build_simple_testbed(), {})
+    assert unrepaired == solve_power(build_simple_testbed(), {"PL5": "failed"})
+    assert restored != unrepaired
+    assert sum(key[0] == "dispatch" for key in marked._memo) == 2
 
 
 def test_compiled_water_systems_are_shared():

@@ -1,5 +1,6 @@
 """Dispatch oracles: load shedding under limits, islanding, motor status."""
 
+import numpy as np
 import pytest
 
 from lifelinesim import powerflow
@@ -76,6 +77,47 @@ class TestIslanding:
         state = solve_power(shed_net, {"LN1": "failed"})
         assert state.served["LD2"] == 0.0
         assert state.served["LD3"] == 0.0
+
+
+def _three_island_net():
+    """B1-B2-B3 fed by a 50 MW grid, with B3's generator forced off in the
+    tests; B4 has only a forced-off generator; B5 feeds itself."""
+    comps = [Component(b, POWER, "bus", (0.0, 0.0)) for b in ("B1", "B2", "B3", "B4", "B5")]
+    comps += [
+        Component("GX", POWER, "external_grid", (0.0, 10.0), {"max_mw": 50.0, "cost": 40.0}, buses=("B1",)),
+        Component("G3", POWER, "generator", (0, 0), {"max_mw": 40.0, "cost": 10.0}, buses=("B3",)),
+        Component("G4", POWER, "generator", (0, 0), {"max_mw": 40.0, "cost": 10.0}, buses=("B4",)),
+        Component("G5", POWER, "generator", (0, 0), {"max_mw": 10.0, "cost": 10.0}, buses=("B5",)),
+        Component("LN1", POWER, "line", (0, 0), {"susceptance": 80.0, "limit_mw": 100.0}, ends=("B1", "B2")),
+        Component("LN2", POWER, "line", (0, 0), {"susceptance": 80.0, "limit_mw": 100.0}, ends=("B2", "B3")),
+    ]
+    comps += [
+        Component(f"LD{k}", POWER, "load", (0, 0), {"demand_mw": mw}, buses=(f"B{k}",))
+        for k, mw in ((2, 30.0), (3, 30.0), (4, 10.0), (5, 5.0))
+    ]
+    return IntegratedNetwork(comps, [])
+
+
+class TestIslandAudit:
+    def test_energized_and_balance_with_clipped_service_and_forced_off_source(self, monkeypatch):
+        real_linprog = powerflow.linprog
+
+        def linprog(c, **kwargs):
+            res = real_linprog(c, **kwargs)
+            for k in np.flatnonzero(np.asarray(c) < 0):  # served entries
+                hi = kwargs["bounds"][k][1]
+                if res.x[k] > hi - 1e-9:
+                    res.x[k] = hi + 6.1e-11  # HiGHS overshooting the demand
+            return res
+
+        monkeypatch.setattr(powerflow, "linprog", linprog)
+        state = solve_power(_three_island_net(), {}, forced_off={"G3", "G4"})
+        assert state.energized == {"B1": True, "B2": True, "B3": True, "B4": False, "B5": True}
+        assert state.served["LD2"] == 30.0 and state.served["LD5"] == 5.0  # clipped to demand
+        assert state.served["LD3"] == pytest.approx(20.0, abs=1e-9)
+        assert state.served["LD4"] == 0.0
+        assert state.generation["G3"] == state.generation["G4"] == 0.0
+        assert state.balance_residual < 1e-9
 
 
 class TestTestbedDispatch:
