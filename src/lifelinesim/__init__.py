@@ -25,10 +25,8 @@ from .metrics import (
     benjamini_hochberg,
     consumer_eoh,
     curve_eoh,
-    ecs,
     ecs_curve,
     paired_comparison,
-    pcs,
     pcs_curve,
     repeated_measures_anova,
     system_eoh,
@@ -107,7 +105,6 @@ __all__ = [
     "consumer_eoh",
     "curve_eoh",
     "default_crews",
-    "ecs",
     "ecs_curve",
     "exposure_probability",
     "failure_probability",
@@ -116,7 +113,6 @@ __all__ = [
     "motor_operational",
     "mpc_sequence",
     "paired_comparison",
-    "pcs",
     "pcs_curve",
     "pda_demand",
     "rank_components",

@@ -256,11 +256,12 @@ def _batch_worker(payload: tuple) -> dict:
             "n_failures": len(scenario.failures),
             "per_strategy": {},
         }
-        # strategies of one scenario share their ledgers' leading events,
-        # so each resumes the replay where an earlier one's ledger diverges
-        snapshots: dict = {}
+        # the strategies of one scenario share one replay store: a ledger
+        # an earlier strategy produced is not replayed, and the Newton
+        # solves their replays have in common run once
+        store: dict = {}
         for strategy in strategies:
-            result = run_scenario(net, scenario, strategy, mpc_horizon=mpc_horizon, snapshots=snapshots)
+            result = run_scenario(net, scenario, strategy, mpc_horizon=mpc_horizon, store=store)
             water, power = result.eoh(WATER), result.eoh(POWER)
             record["per_strategy"][strategy] = {
                 "eoh_water": water,

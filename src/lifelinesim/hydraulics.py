@@ -330,8 +330,8 @@ class WaterSimulator:
     ``solves`` is a Newton table: each Newton run, keyed on all that it
     reads (the compiled system, the fixed heads and the start vectors).
     A solve with the same inputs returns the stored result, read-only
-    arrays included, bit for bit. The replays of one snapshot store
-    share one table.
+    arrays included, bit for bit. The replays of one replay store (see
+    ``simulation.simulate``) share one table.
     """
 
     def __init__(
@@ -526,20 +526,6 @@ class WaterSimulator:
             if not a["min_level"] <= self.tank_level[tid] <= a["max_level"]:
                 return False
         return True
-
-    def checkpoint(self) -> tuple:
-        """Everything a later solve or step reads, warm start included,
-        for ``restore``. Only the tank levels are updated in place; the
-        rest is replaced whole, so the checkpoint shares it."""
-        return (
-            dict(self.tank_level), self.statuses, self.forced_off,
-            self._warm_h, self._warm_q, self._last_state, self._solved_levels,
-        )
-
-    def restore(self, checkpoint: tuple) -> None:
-        levels, self.statuses, self.forced_off, self._warm_h, self._warm_q, \
-            self._last_state, self._solved_levels = checkpoint
-        self.tank_level = dict(levels)
 
     def _build_state(self, sys, fixed, q, h, tank_inflow, time, res_norm, iters, dry, full) -> HydraulicState:
         prm = self.params

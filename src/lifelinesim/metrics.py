@@ -67,47 +67,15 @@ class NetworkSeries:
         if np.any(s < -1e-12) or np.any(b < -1e-12):
             raise MetricsError("negative service values")
 
-    def sample_index(self, t: float) -> int:
-        j = int(np.searchsorted(self.times, t))
-        if j >= len(self.times) or self.times[j] != t:
-            raise MetricsError(f"no sample at t={t}")
-        return j
-
-
-def _served_fractions(series: NetworkSeries, j: int) -> np.ndarray | None:
-    """Per-consumer min(s/S, 1) at sample j, or None when no S_i > 0."""
-    s_row = series.supplied[j]
-    b_row = series.baseline[j]
-    mask = b_row > 0
-    if not mask.any():
-        return None
-    return np.minimum(s_row[mask] / b_row[mask], 1.0)
-
-
-def ecs(series: NetworkSeries, t: float) -> float:
-    """Equal-importance served fraction at time t; NaN when undefined."""
-    frac = _served_fractions(series, series.sample_index(t))
-    return float(frac.mean()) if frac is not None else math.nan
-
-
-def pcs(series: NetworkSeries, t: float) -> float:
-    """Volume-weighted served fraction at time t; NaN when undefined."""
-    j = series.sample_index(t)
-    s_row, b_row = series.supplied[j], series.baseline[j]
-    mask = b_row > 0
-    total = b_row[mask].sum()
-    if total <= 0:
-        return math.nan
-    return float(np.minimum(s_row[mask], b_row[mask]).sum() / total)
-
 
 def ecs_curve(series: NetworkSeries) -> np.ndarray:
-    """``ecs`` at every sample, NaN where no consumer has baseline > 0.
+    """ECS at every sample: the mean of min(supplied / baseline, 1) over
+    the consumers with baseline > 0, NaN where there are none.
 
     Consecutive rows with one ``baseline > 0`` mask form a group, reduced
     over exactly its masked columns, in order. ``compress`` keeps each
     group's rows contiguous, so each row's mean sums the same values in
-    the same order as ``ecs`` does, to the bit.
+    the same order as a mean over that row alone, to the bit.
     """
     s, b = series.supplied, series.baseline
     masks = b > 0
@@ -122,6 +90,8 @@ def ecs_curve(series: NetworkSeries) -> np.ndarray:
 
 
 def pcs_curve(series: NetworkSeries) -> np.ndarray:
+    """PCS at every sample: total min(supplied, baseline) over total
+    baseline, among consumers with baseline > 0; NaN where there are none."""
     s, b = series.supplied, series.baseline
     capped = np.minimum(s, b)
     num = np.where(b > 0, capped, 0.0).sum(axis=1)

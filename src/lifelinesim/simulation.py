@@ -14,18 +14,16 @@ moment they happen — a de-energized motor forces its pump out of
 service, and a tank that runs dry forces its dependent generator off
 (and back on when it refills) with a new dispatch at that minute.
 
-The replay (``_Replay``) can snapshot its state at the start of any
-interval between event timestamps and resume another ledger from it;
-that state depends only on the rows before the interval. Callers that
-replay many ledgers with a shared start, such as the mpc evaluator,
-pass one snapshot store to ``simulate`` and skip the shared prefix.
+Callers that replay many ledgers on one network, such as the mpc
+evaluator or the strategies of a batch scenario, pass one replay store
+to ``simulate``: a ledger simulated before, to the same horizon, is not
+replayed, and each distinct Newton solve of the replays runs once.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -411,23 +409,18 @@ def _dispatch(net: IntegratedNetwork, statuses: dict[str, str], forced_off=froze
 
 
 class _Replay:
-    """The interleaved loop of ``simulate``, resumable at interval starts.
+    """The interleaved loop of ``simulate``, one interval at a time.
 
     Each interval [a, b) applies a's rows, dispatches power, forces the
     pumps of unpowered motors off and samples hydraulics every minute up
     to b. A solve that changes which generators have a dry source
-    dispatches again at once. The state at the start of an interval,
-    before a's rows apply, depends only on a and the rows before a, since
-    every earlier boundary is a row time or 0; ``snapshot`` takes it and
-    ``resume`` continues from it.
+    dispatches again at once.
 
     Water samples are kept as runs, one per sampled solve and not one per
     minute: ``(t, k0, k1, row)`` holds ``row`` at time ``t`` (``None``
     when ``t`` is not sampled) and then at each grid time ``k *
     WATER_SAMPLE_STEP`` for k in [k0, k1), the minutes a frozen simulator
-    repeats. ``water_samples`` expands them once, at the end. The run
-    and power buffers only grow, so a snapshot holds each one with its
-    length instead of a copy.
+    repeats. ``water_samples`` expands them once, at the end.
     """
 
     def __init__(self, net: IntegratedNetwork):
@@ -448,19 +441,6 @@ class _Replay:
         self.water_runs: list[tuple[float | None, int, int, list[float]]] = []
         self.power_times: list[float] = []
         self.power_rows: list[list[float]] = []
-
-    def snapshot(self) -> tuple:
-        buffers = (self.water_runs, self.power_times, self.power_rows)
-        return (
-            dict(self.statuses), self.forced_generators, self.water_row, self.sim.checkpoint(),
-            tuple((buf, len(buf)) for buf in buffers),
-        )
-
-    def resume(self, snapshot: tuple) -> None:
-        statuses, self.forced_generators, self.water_row, checkpoint, buffers = snapshot
-        self.statuses = dict(statuses)
-        self.sim.restore(checkpoint)
-        self.water_runs, self.power_times, self.power_rows = (buf[:n] for buf, n in buffers)
 
     def interval(self, a: float, b: float, rows) -> None:
         """Apply a's rows and sample [a, b); a == b samples once, at a."""
@@ -550,21 +530,12 @@ class _Replay:
         self.water_row = [state.actual_demand[cid] for cid in self.water_ids]
 
 
-def _run_series(
-    net: IntegratedNetwork, table: EventTable, horizon: float, snapshots: dict | None = None
-):
+def _run_series(net: IntegratedNetwork, table: EventTable, horizon: float, solves: dict | None = None):
     """Replay ``table`` to ``horizon``; returns raw sample arrays.
 
-    With a ``snapshots`` store the replay starts from the latest boundary
-    ``a`` stored under (rows before ``a``, ``a``) and stores a snapshot
-    under that key at each later boundary it reaches. The state at ``a``
-    depends on nothing else, so replays of any ledgers and horizons on
-    ``net`` may share one store. After the horizon sample it stores one
-    more snapshot, under (all rows, horizon, "sampled"): a ledger replayed
-    before, to the same horizon, resumes there and solves nothing.
-    Without a store it builds no keys and takes no snapshots. The store
-    also holds the Newton table (see ``WaterSimulator``) that all its
-    replays share.
+    ``solves`` is a Newton table (see ``WaterSimulator``) for the replay
+    to read and fill, so that replays sharing it run each distinct
+    Newton solve once.
     """
     by_time = _status_timeline(table)
     boundaries = sorted({0.0, horizon, *by_time})
@@ -572,26 +543,14 @@ def _run_series(
         raise SimulationError(f"event at t={boundaries[-1]} beyond horizon {horizon}")
 
     replay = _Replay(net)
-    start = 0
-    if snapshots is not None:
-        replay.sim.solves = snapshots.setdefault(_NEWTON_SOLVES, {})
-        times = [row.time for row in table.rows]
-        keys = [(table.rows[: bisect_left(times, a)], a) for a in boundaries]
-        keys.append((table.rows, horizon, "sampled"))
-        for start in reversed(range(len(keys))):  # ends at 0 when none is stored
-            if keys[start] in snapshots:
-                replay.resume(snapshots[keys[start]])
-                break
-
+    if solves is not None:
+        replay.sim.solves = solves
     # each interval [a, b) is sampled up to but excluding b, which belongs
     # to the next one; the horizon closes the run as a zero-length interval
     # sampled once, on the grid or off it
     ends = [*boundaries[1:], horizon]
-    for i in range(start, len(boundaries) + 1):
-        if snapshots is not None and keys[i] not in snapshots:
-            snapshots[keys[i]] = replay.snapshot()
-        if i < len(boundaries):
-            replay.interval(boundaries[i], ends[i], by_time.get(boundaries[i], ()))
+    for a, b in zip(boundaries, ends):
+        replay.interval(a, b, by_time.get(a, ()))
 
     return (
         replay.water_ids,
@@ -645,7 +604,7 @@ def simulate(
     net: IntegratedNetwork,
     table: EventTable,
     horizon: float | None = None,
-    snapshots: dict | None = None,
+    store: dict | None = None,
 ) -> SimulationResult:
     """Replay an event table and record per-consumer service series.
 
@@ -659,11 +618,13 @@ def simulate(
     shared by every later call on it: the undisrupted pass (kept to the
     longest on-grid horizon seen, see ``_baseline_water``) and each
     dispatch, keyed by the power components' in-service flags and the
-    forced-off generators. ``snapshots`` is a store that replays of
-    ledgers with a common start share: each resumes from the latest
-    event boundary before which its rows match a replay already stored
-    (see ``_run_series``), and runs each distinct Newton solve of those
-    replays once. The caller owns it; the network memo never holds it.
+    forced-off generators. ``store`` is a replay store that the caller
+    owns and the network memo never holds. It keeps the result of each
+    (ledger rows, horizon) simulated through it, which a repeat returns
+    without replaying, and one Newton table that every replay through
+    it reads and fills, so each distinct Newton solve runs once. A
+    stored result is shared by every repeat, so its series arrays are
+    read-only.
     """
     problems = table.validate()
     if problems:
@@ -675,8 +636,12 @@ def simulate(
         raise SimulationError(
             f"horizon {horizon} precedes the last event at {table.last_time()}"
         )
+    key = (table.rows, horizon)
+    if store is not None and key in store:
+        return store[key]
 
-    water_ids, wt, ws, power_ids, pt, ps = _run_series(net, table, horizon, snapshots)
+    solves = None if store is None else store.setdefault(_NEWTON_SOLVES, {})
+    water_ids, wt, ws, power_ids, pt, ps = _run_series(net, table, horizon, solves)
     base_ids, bwt, bws = _baseline_water(net, horizon)
     if base_ids != water_ids or not np.array_equal(bwt, wt):
         raise SimulationError("baseline and disrupted sample grids diverged")
@@ -702,13 +667,19 @@ def simulate(
         baseline=power_baseline,
         interpolation=metrics.STEP,
     )
-    return SimulationResult(
+    result = SimulationResult(
         water=water_series,
         power=power_series,
         event_table=table,
         occurrence_time=table.occurrence_time(),
         horizon=horizon,
     )
+    if store is not None:
+        for series in (water_series, power_series):
+            for array in (series.times, series.supplied, series.baseline):
+                array.flags.writeable = False
+        store[key] = result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +690,7 @@ def make_weighted_eoh_evaluator(
     net: IntegratedNetwork,
     scenario: DisasterScenario,
     crews: list[Crew] | None = None,
-    snapshots: dict | None = None,
+    store: dict | None = None,
 ) -> Callable[[dict[str, list[str]]], float]:
     """Score candidate repair orders by simulated weighted outage hours.
 
@@ -727,26 +698,21 @@ def make_weighted_eoh_evaluator(
     all repairs plus a day of recovery) so that partially scheduled
     orders are penalized for whatever they leave broken.
 
-    Candidates share work through two stores that live as long as the
-    evaluator: a ledger seen before is not replayed, and each replay
-    resumes from the snapshot at the last event boundary it shares with
-    an earlier candidate's ledger, running only the Newton solves that
-    no earlier replay ran. Pass ``snapshots`` to keep that store for a
-    later ``simulate`` of the chosen order.
+    Candidates share one replay store (see ``simulate``) that lives as
+    long as the evaluator: a ledger seen before is not replayed, and each
+    replay runs only the Newton solves that no earlier one ran. Pass
+    ``store`` to keep it for a later ``simulate`` of the chosen order.
     """
     total_repair = sum(
         repair_duration(net.component(f.component_id).kind) for f in scenario.failures
     )
     horizon = scenario.event.occurrence_time + total_repair + POST_RECOVERY_WINDOW + 3600.0
     horizon = math.ceil(horizon / WATER_SAMPLE_STEP) * WATER_SAMPLE_STEP
-    snapshots = {} if snapshots is None else snapshots
-    scores: dict[tuple[EventRow, ...], float] = {}
+    store = {} if store is None else store
 
     def evaluate(order: dict[str, list[str]]) -> float:
         table = build_event_table(net, scenario, order, crews=crews, allow_partial=True)
-        if table.rows not in scores:
-            scores[table.rows] = simulate(net, table, horizon, snapshots).weighted_eoh()
-        return scores[table.rows]
+        return simulate(net, table, horizon, store).weighted_eoh()
 
     return evaluate
 
@@ -758,7 +724,7 @@ def run_scenario(
     crews: list[Crew] | None = None,
     mpc_horizon: int = 2,
     horizon: float | None = None,
-    snapshots: dict | None = None,
+    store: dict | None = None,
 ) -> SimulationResult:
     """Rank repairs, schedule crews, and simulate one disaster scenario.
 
@@ -766,13 +732,12 @@ def run_scenario(
     searches ``mpc_horizon``-step repair prefixes by simulated weighted
     outage hours (completing each candidate with the max_flow order).
 
-    ``snapshots`` is a replay store (see ``simulate``) that the caller
-    shares between runs of one scenario, such as its strategies in a
-    batch: each replay, mpc candidates included, resumes from the latest
-    event boundary before which its ledger matches one already replayed
-    into the store, and each distinct Newton solve runs once. An mpc run
-    without one uses a store of its own. An ``mpc_horizon`` below 1 is
-    rejected before any planning work.
+    ``store`` is a replay store (see ``simulate``) that the caller shares
+    between runs of one scenario, such as its strategies in a batch:
+    a ledger an earlier run or mpc candidate simulated to the same
+    horizon is not replayed, and each distinct Newton solve runs once.
+    An mpc run without one uses a store of its own. An ``mpc_horizon``
+    below 1 is rejected before any planning work.
     """
     if strategy != "mpc" and strategy not in STRATEGIES:
         raise RecoveryError(
@@ -783,16 +748,15 @@ def run_scenario(
     _check_finite_horizon(horizon)
     failed = {f.component_id for f in scenario.failures}
     if not failed:
-        return simulate(net, EventTable(()), horizon=horizon, snapshots=snapshots)
+        return simulate(net, EventTable(()), horizon=horizon, store=store)
 
     if crews is None:
         crews = default_crews(net)
     context = build_planning_context(net, crews, failed)
     if strategy == "mpc":
         completion = rank_components(net, failed, "max_flow", context)
-        if snapshots is None:
-            snapshots = {}
-        evaluate = make_weighted_eoh_evaluator(net, scenario, crews=crews, snapshots=snapshots)
+        store = {} if store is None else store
+        evaluate = make_weighted_eoh_evaluator(net, scenario, crews=crews, store=store)
         order = mpc_sequence(
             {k: list(v) for k, v in completion.items()},
             mpc_horizon,
@@ -803,4 +767,4 @@ def run_scenario(
         order = rank_components(net, failed, strategy, context)
 
     table = build_event_table(net, scenario, order, crews=crews)
-    return simulate(net, table, horizon=horizon, snapshots=snapshots)
+    return simulate(net, table, horizon=horizon, store=store)

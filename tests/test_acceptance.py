@@ -78,14 +78,14 @@ def test_criterion_1_metric_exactness():
     problems: list = []
 
     s = _series([0.0], [[1.0, 0.5]], [[1.0, 1.0]])
-    check(problems, abs(metrics.ecs(s, 0.0) - 0.75) <= 1e-9, "ECS of (1.0, 0.5) != 0.75")
+    check(problems, abs(metrics.ecs_curve(s)[0] - 0.75) <= 1e-9, "ECS of (1.0, 0.5) != 0.75")
 
     s = _series([0.0], [[5.0, 10.0]], [[10.0, 10.0]])
-    check(problems, abs(metrics.pcs(s, 0.0) - 0.75) <= 1e-9, "PCS of 15/20 != 0.75")
+    check(problems, abs(metrics.pcs_curve(s)[0] - 0.75) <= 1e-9, "PCS of 15/20 != 0.75")
 
     s = _series([0.0], [[30.0, 0.0]], [[30.0, 10.0]])
-    check(problems, abs(metrics.pcs(s, 0.0) - 0.75) <= 1e-9, "size-weighted PCS != 0.75")
-    check(problems, abs(metrics.ecs(s, 0.0) - 0.5) <= 1e-9, "ECS contrast != 0.5")
+    check(problems, abs(metrics.pcs_curve(s)[0] - 0.75) <= 1e-9, "size-weighted PCS != 0.75")
+    check(problems, abs(metrics.ecs_curve(s)[0] - 0.5) <= 1e-9, "ECS contrast != 0.5")
 
     # closed form: half service for two hours is exactly one outage hour
     half = _series([0.0, 7200.0], [[0.5], [0.5]], [[1.0], [1.0]])

@@ -1,13 +1,15 @@
 """Source hygiene: every imported name is used by the module importing it,
-every exported name exists, every private definition is referenced, the
-CLI's import path stays clear of slow modules, and every binding the
-benchmark's tracer wraps still exists."""
+every exported name exists, every private definition is referenced, every
+public definition has a caller outside the tests, the CLI's import path
+stays clear of slow modules, and every binding the benchmark's tracer
+wraps still exists."""
 
 import ast
 import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import lifelinesim
@@ -45,6 +47,36 @@ def _unreferenced_private_definitions(path: Path) -> list[str]:
     return sorted(private - used)
 
 
+def _identifiers(tree) -> list[str]:
+    return [node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def _uncalled_public_definitions() -> list[str]:
+    """Public top-level functions and classes of the package, and public
+    methods, that no package module names outside their own definition,
+    and no demo or benchmark script names at all. Re-exports and tests
+    do not count."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted((ROOT / "src" / "lifelinesim").glob("*.py"))}
+    callers = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+               for p in sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+               if not p.name.startswith("test_")]
+    named = Counter(name for tree in [*trees.values(), *callers] for name in _identifiers(tree))
+    uncalled = []
+    for path, tree in trees.items():
+        top = [node for node in tree.body if isinstance(node, kinds)]
+        methods = [(c, m) for c in top if isinstance(c, ast.ClassDef) for m in c.body if isinstance(m, kinds)]
+        for owner, node in [(None, d) for d in top] + methods:
+            if node.name.startswith("_"):
+                continue
+            own = _identifiers(node).count(node.name)  # a recursive call is no caller
+            if named[node.name] <= own:
+                uncalled.append(f"{path.stem}.{owner.name + '.' if owner else ''}{node.name}")
+    return uncalled
+
+
 def test_scan_covers_package_tests_and_demos():
     dirs = {p.parent.name for p in _scanned_files()}
     assert dirs == {"lifelinesim", "tests", "demos"}
@@ -63,6 +95,10 @@ def test_no_unreferenced_private_definitions():
     package = sorted((ROOT / "src" / "lifelinesim").glob("*.py"))
     unreferenced = {p.name: names for p in package if (names := _unreferenced_private_definitions(p))}
     assert unreferenced == {}
+
+
+def test_every_public_definition_has_a_caller():
+    assert _uncalled_public_definitions() == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

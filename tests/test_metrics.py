@@ -18,16 +18,13 @@ from lifelinesim.metrics import (
     benjamini_hochberg,
     consumer_eoh,
     curve_eoh,
-    ecs,
     ecs_curve,
     paired_comparison,
-    pcs,
     pcs_curve,
     repeated_measures_anova,
     system_eoh,
     weighted_eoh,
 )
-from lifelinesim.metrics import _served_fractions
 
 # Hand-worked 3x3 repeated-measures matrix. Grand mean 10.611..., the
 # spreadsheet decomposition gives F = SSstrategy/2 / (SSerror/4).
@@ -61,45 +58,44 @@ def make_series(times, supplied, baseline, interpolation=LINEAR, consumers=None,
 class TestEcsPcs:
     def test_ecs_mixed_ratios(self):
         s = make_series([0.0], [[1.0, 0.5]], [[1.0, 1.0]])
-        assert ecs(s, 0.0) == pytest.approx(0.75, abs=1e-12)
+        assert ecs_curve(s)[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_ecs_full_and_zero(self):
         full = make_series([0.0], [[2.0, 3.0]], [[2.0, 3.0]])
-        assert ecs(full, 0.0) == 1.0
+        assert ecs_curve(full)[0] == 1.0
         dark = make_series([0.0], [[0.0, 0.0]], [[2.0, 3.0]])
-        assert ecs(dark, 0.0) == 0.0
+        assert ecs_curve(dark)[0] == 0.0
 
     def test_pcs_equal_demands(self):
         s = make_series([0.0], [[5.0, 10.0]], [[10.0, 10.0]])
-        assert pcs(s, 0.0) == pytest.approx(0.75, abs=1e-12)
+        assert pcs_curve(s)[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_pcs_weighted_by_size_vs_ecs(self):
         s = make_series([0.0], [[30.0, 0.0]], [[30.0, 10.0]])
-        assert pcs(s, 0.0) == pytest.approx(0.75, abs=1e-12)
-        assert ecs(s, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert pcs_curve(s)[0] == pytest.approx(0.75, abs=1e-12)
+        assert ecs_curve(s)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_oversupply_clamped(self):
         s = make_series([0.0], [[12.0]], [[10.0]])
-        assert pcs(s, 0.0) == 1.0
-        assert ecs(s, 0.0) == 1.0
+        assert pcs_curve(s)[0] == 1.0
+        assert ecs_curve(s)[0] == 1.0
 
     def test_zero_demand_consumer_excluded(self):
         s = make_series([0.0], [[0.0, 5.0]], [[0.0, 10.0]])
-        assert ecs(s, 0.0) == pytest.approx(0.5)
-        assert pcs(s, 0.0) == pytest.approx(0.5)
+        assert ecs_curve(s)[0] == pytest.approx(0.5)
+        assert pcs_curve(s)[0] == pytest.approx(0.5)
 
     def test_all_zero_demand_is_nan(self):
         s = make_series([0.0], [[0.0]], [[0.0]])
-        assert math.isnan(ecs(s, 0.0))
-        assert math.isnan(pcs(s, 0.0))
+        assert math.isnan(ecs_curve(s)[0])
+        assert math.isnan(pcs_curve(s)[0])
 
     def test_curves_match_pointwise(self):
         times = [0.0, 60.0, 120.0]
         s = make_series(times, [[1.0], [0.5], [1.0]], [[1.0]] * 3)
         np.testing.assert_allclose(ecs_curve(s), [1.0, 0.5, 1.0])
         np.testing.assert_allclose(pcs_curve(s), [1.0, 0.5, 1.0])
-        for t, expected in zip(times, (1.0, 0.5, 1.0)):
-            assert ecs(s, t) == expected
+        assert ecs_curve(s).tolist() == [1.0, 0.5, 1.0]
 
     def test_ecs_equals_pcs_for_equal_demands(self):
         rng = np.random.default_rng(5)
@@ -110,11 +106,13 @@ class TestEcsPcs:
 
 
 def _ecs_rows(series):
-    """Oracle: ``ecs_curve`` as a loop over rows, one ``ecs`` each."""
-    out = np.empty(len(series.times))
-    for j in range(len(series.times)):
-        frac = _served_fractions(series, j)
-        out[j] = frac.mean() if frac is not None else math.nan
+    """Oracle: ``ecs_curve`` as a loop over rows, each the mean of
+    min(s/S, 1) over the consumers with S > 0, NaN when there are none."""
+    out = np.full(len(series.times), math.nan)
+    for j, (s_row, b_row) in enumerate(zip(series.supplied, series.baseline)):
+        mask = b_row > 0
+        if mask.any():
+            out[j] = np.minimum(s_row[mask] / b_row[mask], 1.0).mean()
     return out
 
 
@@ -172,12 +170,6 @@ class TestSeriesValidation:
     def test_unknown_interpolation(self):
         with pytest.raises(MetricsError):
             make_series([0.0], [[1.0]], [[1.0]], interpolation="cubic")
-
-    def test_sample_index(self):
-        s = make_series([0.0, 60.0], [[1.0], [1.0]], [[1.0], [1.0]])
-        assert s.sample_index(60.0) == 1
-        with pytest.raises(MetricsError):
-            s.sample_index(30.0)
 
 
 class TestCurveEoh:

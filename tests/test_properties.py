@@ -1,4 +1,4 @@
-"""Invariants of whole runs over sampled scenarios and every heuristic."""
+"""Invariants of whole runs over sampled scenarios and every strategy."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -48,3 +48,22 @@ def test_runs_keep_their_invariants(scenario):
         after = power.times >= end
         np.testing.assert_array_equal(power.supplied[after], power.baseline[after])
         np.testing.assert_array_equal(result.water.supplied[-1], result.water.baseline[-1])
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    strategies=st.lists(st.sampled_from(("max_flow", "centrality", "zone", "mpc")), min_size=1, max_size=4, unique=True),
+)
+def test_runs_sharing_a_store_equal_storeless_runs(seed, strategies):
+    # whatever the order, a strategy that follows others through one
+    # replay store gets the result it would get alone
+    scenario = sample_scenario(NET, HazardEvent(kind="random", intensity="extreme", count=3), seed=seed)
+    store: dict = {}
+    for strategy in strategies:
+        shared = run_scenario(NET, scenario, strategy, store=store)
+        alone = run_scenario(NET, scenario, strategy)
+        for network in (WATER, POWER):
+            a, b = shared.series(network), alone.series(network)
+            assert np.array_equal(a.times, b.times) and np.array_equal(a.supplied, b.supplied), network
+        assert shared.weighted_eoh() == alone.weighted_eoh(), strategy

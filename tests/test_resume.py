@@ -1,8 +1,10 @@
-"""An mpc run resumes its candidate replays and its final run from one
-snapshot store, and the strategies of a batch scenario share one; each
-replay equals a fresh replay, the replays share their Newton solves, and
-the store and its Newton table die with the run or the scenario. (Resumption across horizons and the dry-tank coupling are
-tested in ``test_simulation.py``.)"""
+"""An mpc run simulates its candidates and its final order through one
+replay store, and the strategies of a batch scenario share one; each
+result equals a fresh replay, a repeated ledger returns the stored
+result, the replays share their Newton solves, and the store and its
+Newton table die with the run or the scenario. (Stores shared across
+horizons and the dry-tank coupling are tested in
+``test_simulation.py``.)"""
 
 import gc
 import weakref
@@ -13,7 +15,7 @@ import pytest
 from lifelinesim import cli, simulation
 from lifelinesim.hazard import HazardEvent, sample_scenario
 from lifelinesim.hydraulics import WaterSimulator
-from lifelinesim.simulation import run_scenario
+from lifelinesim.simulation import EventTable, run_scenario
 from lifelinesim.testbed import build_simple_testbed
 
 MEMO_KINDS = {"water_system", "baseline_water", "dispatch", "link_times", "peak_flow", "betweenness", "road_graph"}
@@ -32,18 +34,6 @@ def _assert_same_replay(got, want):
         assert np.array_equal(a.times, b.times), network
         assert np.array_equal(a.supplied, b.supplied), network
     assert got.weighted_eoh() == want.weighted_eoh()
-
-
-def _count_resumes(monkeypatch):
-    resumes = []
-    resume = simulation._Replay.resume
-
-    def counted(replay, snapshot):
-        resume(replay, snapshot)
-        resumes.append(len(replay.water_runs))  # sample runs it need not replay
-
-    monkeypatch.setattr(simulation._Replay, "resume", counted)
-    return resumes
 
 
 def _newton_results(monkeypatch):
@@ -71,9 +61,9 @@ def _recording_simulate(monkeypatch):
     calls = []
     real = simulation.simulate
 
-    def recording(net, table, horizon=None, snapshots=None):
-        result = real(net, table, horizon, snapshots)
-        calls.append((table, horizon, snapshots, result))
+    def recording(net, table, horizon=None, store=None):
+        result = real(net, table, horizon, store)
+        calls.append((table, horizon, store, result))
         return result
 
     monkeypatch.setattr(simulation, "simulate", recording)
@@ -85,17 +75,16 @@ def test_mpc_replays_match_fresh_replays(monkeypatch, seed):
     net = build_simple_testbed()
     scenario = _mpc_scenario(net, seed)
     calls, real = _recording_simulate(monkeypatch)
-    resumes = _count_resumes(monkeypatch)
     final = run_scenario(net, scenario, "mpc")
 
     assert calls[-1][3] is final
-    assert len({table.rows for table, *_ in calls[:-1]}) == len(calls) - 1  # each ledger scored once
     assert len({id(store) for *_, store, _ in calls}) == 1 and calls[0][2] is not None
-    # every replay after the first skips at least the minutes before the
-    # first repair, which all candidates share
-    assert len(resumes) == len(calls) - 1 and min(resumes) > 0
+    # a ledger scored again returns the stored result
+    first = {}
     for table, horizon, _, result in calls:
-        _assert_same_replay(result, real(build_simple_testbed(), table, horizon))
+        assert first.setdefault((table.rows, horizon), result) is result
+    for (_, horizon), result in first.items():
+        _assert_same_replay(result, real(build_simple_testbed(), result.event_table, horizon))
 
 
 def test_mpc_choices_do_not_depend_on_the_store(monkeypatch):
@@ -104,11 +93,9 @@ def test_mpc_choices_do_not_depend_on_the_store(monkeypatch):
     with_store = run_scenario(net, scenario, "mpc")
     real = simulation.simulate
     monkeypatch.setattr(
-        simulation, "simulate", lambda net, table, horizon=None, snapshots=None: real(net, table, horizon)
+        simulation, "simulate", lambda net, table, horizon=None, store=None: real(net, table, horizon)
     )
-    resumes = _count_resumes(monkeypatch)
     without = run_scenario(build_simple_testbed(), scenario, "mpc")
-    assert not resumes
     assert with_store.event_table == without.event_table
     _assert_same_replay(with_store, without)
 
@@ -133,15 +120,6 @@ def test_mpc_candidates_share_newton_solves(monkeypatch):
     assert len(calls) - len(refs) >= 0.4 * len(calls)
 
 
-def test_runs_without_a_store_take_no_snapshots(monkeypatch):
-    def refuse(replay):
-        raise AssertionError("snapshot taken without a store")
-
-    monkeypatch.setattr(simulation._Replay, "snapshot", refuse)
-    net = build_simple_testbed()
-    run_scenario(net, _mpc_scenario(net, 1), "max_flow")
-
-
 BATCH_STRATEGIES = ("max_flow", "centrality", "zone")
 
 
@@ -151,30 +129,31 @@ def test_batch_strategies_share_one_store(monkeypatch, seed):
     event = HazardEvent(kind="random", intensity="random", count=3)
     scenario = sample_scenario(net, event, seed=seed)
     calls, real = _recording_simulate(monkeypatch)
-    resumes = _count_resumes(monkeypatch)
     store: dict = {}
-    per_strategy = []
+    by_ledger = {}
     for strategy in BATCH_STRATEGIES:
-        result = run_scenario(net, scenario, strategy, snapshots=store)
-        per_strategy.append(len(resumes))
+        result = run_scenario(net, scenario, strategy, store=store)
         assert calls[-1][3] is result and calls[-1][2] is store
+        # strategies that produce one ledger share its stored result
+        assert by_ledger.setdefault(result.event_table.rows, result) is result
         _assert_same_replay(result, real(build_simple_testbed(), result.event_table))
-    # the first strategy fills the store; each later one resumes from it
-    assert per_strategy == [0, 1, 2]
 
 
 def test_mpc_after_a_heuristic_resumes_from_its_replay(monkeypatch):
-    net = build_simple_testbed()
+    net, alone = build_simple_testbed(), build_simple_testbed()
     scenario = _mpc_scenario(net, 1)
+    run_scenario(alone, scenario, "max_flow")  # the same network memos, no shared store
     calls, real = _recording_simulate(monkeypatch)
-    resumes = _count_resumes(monkeypatch)
     store: dict = {}
-    run_scenario(net, scenario, "max_flow", snapshots=store)
-    final = run_scenario(net, scenario, "mpc", snapshots=store)
-    assert all(snapshots is store for _, _, snapshots, _ in calls)
-    # the first candidate resumes after the failures, which the max_flow
-    # ledger shares, rather than replaying from t = 0
-    assert len(resumes) == len(calls) - 1 and resumes[0] > 0
+    run_scenario(net, scenario, "max_flow", store=store)
+    refs = _newton_results(monkeypatch)
+    final = run_scenario(net, scenario, "mpc", store=store)
+    assert all(kept is store for _, _, kept, _ in calls)
+    # the candidates rerun none of the Newton solves the max_flow replay
+    # ran, such as those before the first repair, which every ledger shares
+    shared = len(refs)
+    run_scenario(alone, scenario, "mpc")
+    assert shared < len(refs) - shared  # the Newton runs of the same mpc run alone
     _assert_same_replay(final, real(build_simple_testbed(), final.event_table))
 
 
@@ -191,11 +170,9 @@ def test_a_batch_scenario_shares_one_store_that_dies_with_it(monkeypatch):
 
 
 @pytest.mark.parametrize("horizon", ["default", "last_event", "off_grid"])
-def test_a_repeated_ledger_resumes_past_its_horizon(monkeypatch, horizon):
-    # the store keeps the state after the horizon sample, so replaying the
-    # same ledger to the same horizon again solves nothing; a horizon at
-    # the last event applies rows there, and an off-grid one is sampled
-    # off the minute grid
+def test_a_repeated_ledger_returns_the_stored_result(monkeypatch, horizon):
+    # a horizon at the last event applies rows there, and an off-grid one
+    # is sampled off the minute grid
     net = build_simple_testbed()
     scenario = sample_scenario(net, HazardEvent(kind="random", intensity="random", count=3), seed=100)
     table = run_scenario(net, scenario, "max_flow").event_table
@@ -205,17 +182,19 @@ def test_a_repeated_ledger_resumes_past_its_horizon(monkeypatch, horizon):
         "off_grid": simulation.default_horizon(table) + 30.5,
     }[horizon]
     store: dict = {}
-    once = simulation._run_series(net, table, horizon, store)
+    once = simulation.simulate(net, table, horizon, store)
 
-    solves = []
-    solve = WaterSimulator.solve
-    monkeypatch.setattr(WaterSimulator, "solve", lambda sim, *a, **k: solves.append(a) or solve(sim, *a, **k))
-    resumes = _count_resumes(monkeypatch)
-    again = simulation._run_series(net, table, horizon, store)
-    assert solves == [] and len(resumes) == 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("a repeated ledger was replayed")
+
+    monkeypatch.setattr(simulation, "_Replay", refuse)
+    monkeypatch.setattr(WaterSimulator, "solve", refuse)
+    again = simulation.simulate(net, EventTable(table.rows), horizon, store)
+    assert again is once
+    for network in ("water", "power"):
+        series = again.series(network)
+        for array in (series.times, series.supplied, series.baseline):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
     monkeypatch.undo()
-    fresh = simulation._run_series(build_simple_testbed(), table, horizon)
-    for got in (once, again):
-        assert got[0] == fresh[0] and got[3] == fresh[3]  # consumer ids
-        for k in (1, 2, 4, 5):  # water times and rows, power times and rows
-            assert np.array_equal(got[k], fresh[k]), k
+    _assert_same_replay(once, simulation.simulate(build_simple_testbed(), table, horizon))

@@ -417,10 +417,11 @@ class TestSimulate:
         assert served == {0.0: 2.0, 3600.0: 2.0, 6300.0: 0.0, 20000.0: 0.0}
         assert np.all(result.water.supplied[result.water.times >= 6300.0] == 0.0)
 
-    def test_replays_resume_across_horizons_and_ledgers(self, monkeypatch):
-        # the same ledger at two horizons, then ledgers that leave it after
-        # the tank ran dry (at 6300 s) and after the repair: every one is
-        # resumed from the shared store and equals a fresh replay
+    def test_replays_sharing_a_store_equal_fresh_replays(self):
+        # the same ledger at three horizons, then ledgers that leave it
+        # after the tank ran dry (at 6300 s) and after the repair: each
+        # replays through the shared store and equals a fresh replay, and
+        # a repeat of the first returns its stored result
         net = _dry_tank_net()
         repair_wpu1 = (
             EventRow(45000.0, "WPU1", ACTION_REPAIR_START, "water-crew-1"),
@@ -434,11 +435,8 @@ class TestSimulate:
             (DRY_TANK_ROWS[:2] + repair_wpu1, 60000.0),
             (DRY_TANK_ROWS + (EventRow(50000.0, "WP-W6-W9", ACTION_FAIL),), 60000.0),
         ]
-        resumes = []
-        resume = simulation._Replay.resume
-        monkeypatch.setattr(simulation._Replay, "resume",
-                            lambda replay, snap: resumes.append(snap) or resume(replay, snap))
         store: dict = {}
+        results = []
         for rows, horizon in cases:
             table = EventTable(rows)
             got = simulate(net, table, horizon, store)
@@ -446,7 +444,9 @@ class TestSimulate:
             for a, b in ((got.water, want.water), (got.power, want.power)):
                 assert np.array_equal(a.times, b.times) and np.array_equal(a.supplied, b.supplied)
             assert got.weighted_eoh() == want.weighted_eoh()
-        assert len(resumes) == len(cases) - 1
+            results.append(got)
+        assert len({id(r) for r in results}) == len(cases)
+        assert simulate(net, EventTable(DRY_TANK_ROWS), 60000.0, store) is results[0]
 
 
 # WT1 drains once WPU1 fails; PL5 is PM1's feeder line
