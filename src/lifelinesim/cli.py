@@ -456,7 +456,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         "(batch accepts a comma-separated list)",
     )
     p.add_argument("--horizon", type=int, default=2, help="prediction horizon for --strategy mpc")
-    p.add_argument("--sim-horizon", type=float, default=None, help="simulation end time override (s)")
     p.add_argument("--seed", type=int, required=True, help="random seed (required)")
     p.add_argument("--out", default=".", help="output directory (default: current)")
 
@@ -473,6 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--network", default=BUILTIN_SIMPLE, help="network JSON path or builtin:simple")
     _add_hazard_flags(p_run)
     _add_run_flags(p_run)
+    p_run.add_argument("--sim-horizon", type=float, default=None, help="simulation end time override (s)")
     p_run.set_defaults(func=_cmd_run)
 
     p_batch = sub.add_parser("batch", help="run seeded scenarios across strategies and compare")

@@ -619,12 +619,12 @@ def simulate(
     longest on-grid horizon seen, see ``_baseline_water``) and each
     dispatch, keyed by the power components' in-service flags and the
     forced-off generators. ``store`` is a replay store that the caller
-    owns and the network memo never holds. It keeps the result of each
-    (ledger rows, horizon) simulated through it, which a repeat returns
-    without replaying, and one Newton table that every replay through
-    it reads and fills, so each distinct Newton solve runs once. A
-    stored result is shared by every repeat, so its series arrays are
-    read-only.
+    owns and the network memo never holds; without one the call uses a
+    private one. It keeps the result of each (ledger rows, horizon)
+    simulated through it, which a repeat returns without replaying, and
+    one Newton table that every replay through it reads and fills, so
+    each distinct Newton solve runs once. A stored result is shared by
+    every repeat, so the series arrays of every result are read-only.
     """
     problems = table.validate()
     if problems:
@@ -636,11 +636,12 @@ def simulate(
         raise SimulationError(
             f"horizon {horizon} precedes the last event at {table.last_time()}"
         )
+    store = {} if store is None else store
     key = (table.rows, horizon)
-    if store is not None and key in store:
+    if key in store:
         return store[key]
 
-    solves = None if store is None else store.setdefault(_NEWTON_SOLVES, {})
+    solves = store.setdefault(_NEWTON_SOLVES, {})
     water_ids, wt, ws, power_ids, pt, ps = _run_series(net, table, horizon, solves)
     base_ids, bwt, bws = _baseline_water(net, horizon)
     if base_ids != water_ids or not np.array_equal(bwt, wt):
@@ -674,11 +675,10 @@ def simulate(
         occurrence_time=table.occurrence_time(),
         horizon=horizon,
     )
-    if store is not None:
-        for series in (water_series, power_series):
-            for array in (series.times, series.supplied, series.baseline):
-                array.flags.writeable = False
-        store[key] = result
+    for series in (water_series, power_series):
+        for array in (series.times, series.supplied, series.baseline):
+            array.flags.writeable = False
+    store[key] = result
     return result
 
 

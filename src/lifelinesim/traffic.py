@@ -158,7 +158,7 @@ class _AllOrNothing:
         self.unreachable = [(o, d) for (o, d, _), ok in zip(demands, reach) if not ok]
         # a zone's demand to itself loads no link and adds 0 to the SPTT
         load = reach & (orig != dest)
-        self._orig, self._dest, self._row = orig[load], dest[load], row[load]
+        self._dest, self._row = dest[load], row[load]
         self._volume = np.array([v for _, _, v in demands])[load]
 
     def __call__(self, times: np.ndarray) -> tuple[np.ndarray, float]:
@@ -181,23 +181,19 @@ class _AllOrNothing:
         np.minimum.at(lowest, group[keep], self._rank[link[keep]])
         pred = self._by_rank[lowest]
 
-        # walk every OD path up its tree, one hop for all pairs at a time
-        pair = np.arange(len(self._dest))
-        node, at, orig = self._dest, self._row * nn, self._orig
-        hop_pairs, hop_links = [], []
-        while pair.size:
-            k = pred[at + node]
-            hop_pairs.append(pair)
-            hop_links.append(k)
-            node = self._tail[k]
-            more = node != orig
-            pair, node, at, orig = pair[more], node[more], at[more], orig[more]
-        y = np.zeros(len(self._tail))
-        if hop_pairs:
-            pairs, links = np.concatenate(hop_pairs), np.concatenate(hop_links)
-            # each link's loads are added in OD order, as a per-pair loop would
-            by_od = np.argsort(pairs, kind="stable")
-            np.add.at(y, links[by_od], self._volume[pairs[by_od]])
+        # walk every OD path up its tree in lockstep; a node without a
+        # predecessor link (its origin) is its own parent, so a finished
+        # path stays put and adds only "no link" (-1) hops
+        flat = np.arange(dist.size)
+        parent = np.where(pred < 0, flat, flat - flat % nn + self._tail[pred])
+        at, hops = self._row * nn + self._dest, []
+        while at.size and (k := pred[at]).max() >= 0:
+            hops.append(k)
+            at = parent[at]
+        # pair-major order: bincount adds each link's loads in OD order,
+        # as a per-pair loop would; bin 0 takes the "no link" hops
+        links = np.array(hops, dtype=np.intp).ravel(order="F") + 1
+        y = np.bincount(links, np.repeat(self._volume, len(hops)), len(self._tail) + 1)[1:]
         # sequential sum in OD order (np.sum would sum pairwise)
         cost = self._volume * dist[self._row, self._dest]
         sptt = float(np.cumsum(cost)[-1]) if cost.size else 0.0

@@ -245,6 +245,12 @@ class TestBatch:
             )
         assert err.value.code == 2
 
+    def test_sim_horizon_is_a_run_flag(self, tmp_path):
+        # each batch run is simulated to its own default horizon
+        with pytest.raises(SystemExit) as err:
+            run_cli(*self.BASE, "--sim-horizon", "500000", "--out", str(tmp_path))
+        assert err.value.code == 2
+
     def test_scenarios_must_be_positive(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli(

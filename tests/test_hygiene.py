@@ -1,9 +1,10 @@
 """Source hygiene: every imported name is used by the module importing it,
 every exported name exists, every private definition is referenced, every
-public definition has a caller outside the tests, the CLI's import path
-stays clear of slow modules, and every binding the benchmark's tracer
-wraps still exists."""
+public definition has a caller outside the tests, every CLI option is
+read, the CLI's import path stays clear of slow modules, and every binding
+the benchmark's tracer wraps still exists."""
 
+import argparse
 import ast
 import importlib.util
 import os
@@ -13,6 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 import lifelinesim
+from lifelinesim import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,6 +79,39 @@ def _uncalled_public_definitions() -> list[str]:
     return uncalled
 
 
+def _args_reads(handler: str) -> set[str]:
+    """Attributes that a ``cli.py`` function reads off its ``args``
+    parameter, itself or in a ``cli.py`` function it passes ``args`` to."""
+    tree = ast.parse((ROOT / "src" / "lifelinesim" / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reads: set[str] = set()
+    todo, seen = [(handler, 0)], set()
+    while todo:
+        name, position = todo.pop()
+        if (name, position) in seen:
+            continue
+        seen.add((name, position))
+        param = functions[name].args.args[position].arg
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == param:
+                reads.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in functions:
+                todo += [(node.func.id, i) for i, a in enumerate(node.args)
+                         if isinstance(a, ast.Name) and a.id == param]
+    return reads
+
+
+def _unread_cli_options() -> dict[str, list[str]]:
+    """Per subcommand, the option ``dest``s its handler never reads."""
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = {}
+    for command, parser in commands.choices.items():
+        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        if missing := sorted(dests - _args_reads(parser.get_default("func").__name__)):
+            unread[command] = missing
+    return unread
+
+
 def test_scan_covers_package_tests_and_demos():
     dirs = {p.parent.name for p in _scanned_files()}
     assert dirs == {"lifelinesim", "tests", "demos"}
@@ -99,6 +134,11 @@ def test_no_unreferenced_private_definitions():
 
 def test_every_public_definition_has_a_caller():
     assert _uncalled_public_definitions() == []
+
+
+def test_every_cli_option_is_read():
+    # an option its handler never reads is parsed and silently ignored
+    assert _unread_cli_options() == {}
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

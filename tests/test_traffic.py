@@ -265,6 +265,18 @@ class TestArrayAllOrNothing:
         outcome = _assert_same_as_heap(monkeypatch, _lattice(3, 3, isolated=True))
         assert ("Z00", "ZX") in outcome[-1] and ("ZX", "Z00") in outcome[-1]
 
+    def test_links_but_no_loadable_pair(self, monkeypatch):
+        # A->B has no path and A->A loads nothing, so no path is walked
+        comps = [
+            Component("A", TRAFFIC, "zone_node", (0.0, 0.0)),
+            Component("B", TRAFFIC, "zone_node", (1000.0, 0.0)),
+            Component("R1", TRAFFIC, "road_link", (0, 0),
+                      {"free_flow_time": 100.0, "capacity": 1000.0}, ends=("B", "A")),
+        ]
+        net = IntegratedNetwork(comps, [], od_matrix={"A": {"A": 7.0, "B": 1000.0}})
+        outcome = _assert_same_as_heap(monkeypatch, net)
+        assert outcome[0] == {"R1": 0.0} and outcome[-1] == [("A", "B")]
+
     def test_iteration_cap_error_text(self, monkeypatch, net):
         outcome = _assert_same_as_heap(monkeypatch, net, {"TL-T5-T2": "failed"}, TrafficParams(max_iterations=2))
         assert outcome.startswith("no equilibrium after 2 iterations")
