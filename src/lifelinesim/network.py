@@ -407,9 +407,12 @@ def nearest_zone(net: IntegratedNetwork, point: tuple[float, float]) -> str:
 
 
 def access_node(net: IntegratedNetwork, component_id: str) -> str:
-    """Traffic node a repair crew must reach to work on the component."""
-    comp = net.component(component_id)
-    return nearest_zone(net, component_location(comp, net))
+    """Traffic node a repair crew must reach to work on the component,
+    found once per component: the memo entry ``("access_node", id)``."""
+    return net.cached(
+        ("access_node", component_id),
+        lambda: nearest_zone(net, component_location(net.component(component_id), net)),
+    )
 
 
 # ---------------------------------------------------------------------------

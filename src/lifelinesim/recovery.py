@@ -25,7 +25,7 @@ from .network import (
     access_node,
 )
 from .powerflow import dispatch_key, solve_power
-from .traffic import assign_traffic, link_times_key, road_distances
+from .traffic import TrafficState, assign_traffic, link_times_key, road_distances
 
 STRATEGIES = ("max_flow", "centrality", "crew_distance", "zone")
 
@@ -87,17 +87,42 @@ class PlanningContext:
     travel_time: Callable[[str, str], float]
 
 
+def traffic(net: IntegratedNetwork, statuses: dict[str, str], assign=None) -> TrafficState:
+    """The assignment of the statuses' road state, solved once per
+    network and road state: the memo entry ``link_times_key``. A module
+    that binds ``assign_traffic`` itself (``simulation``, whose binding
+    the benchmark's tracer times) passes it as ``assign``, so that its
+    own binding is the one that runs."""
+    return net.cached(link_times_key(net, statuses), lambda: (assign or assign_traffic)(net, statuses))
+
+
+def crew_distances(
+    net: IntegratedNetwork,
+    origin: str,
+    statuses: dict[str, str],
+    congested: bool = True,
+    failed_factor: float | None = None,
+) -> dict[str, float]:
+    """``road_distances`` from ``origin`` under the statuses' road state,
+    over the congested times of that state's assignment (``traffic``) or,
+    when not ``congested``, free-flow times. Found once per network,
+    origin, road state, metric and factor: the memo entry
+    ``("crew_distances", ...)``."""
+    road_state = net.service_key(TRAFFIC, statuses)
+
+    def compute() -> dict[str, float]:
+        times = traffic(net, statuses).link_time if congested else None
+        return road_distances(net, origin, statuses, times, failed_factor)
+
+    return net.cached(("crew_distances", origin, road_state, congested, failed_factor), compute)
+
+
 def _post_failure_travel(net, statuses) -> Callable[[str, str], float]:
-    """Congested origin->destination times under current road conditions."""
-    times = net.cached(link_times_key(net, statuses), lambda: assign_traffic(net, statuses)).link_time
-    dist_cache: dict[str, dict[str, float]] = {}
-
-    def travel(origin: str, destination: str) -> float:
-        if origin not in dist_cache:
-            dist_cache[origin] = road_distances(net, origin, statuses, times)
-        return dist_cache[origin][destination]
-
-    return travel
+    """Congested origin->destination times under current road conditions,
+    read from the crew distances of the post-failure road state. The
+    assignment behind them is solved here, so its errors raise here."""
+    traffic(net, statuses)
+    return lambda origin, destination: crew_distances(net, origin, statuses)[destination]
 
 
 def build_planning_context(
@@ -114,8 +139,9 @@ def build_planning_context(
     entries that runs read for their undisrupted and fully repaired
     states. Travel times are congested times under the post-failure road
     network, since that is what a crew leaving its garage actually
-    faces; the assignment behind them is solved once per network and
-    set of road-link outages, and shared with ``build_event_table``.
+    faces; the assignment and the crew distances behind them are found
+    once per network and road state, and shared with
+    ``build_event_table``.
     """
     crews = crews if crews is not None else default_crews(net)
     peak = net.cached(("peak_flow",), lambda: _peak_flows(net))
@@ -138,8 +164,7 @@ def _peak_flows(net: IntegratedNetwork) -> dict[str, float]:
     for bid, q in power.line_flow.items():
         peak[bid] = abs(q)
 
-    flows = net.cached(link_times_key(net, {}), lambda: assign_traffic(net, {}))
-    for lid, x in flows.link_flow.items():
+    for lid, x in traffic(net, {}).link_flow.items():
         peak[lid] = abs(x)
     return peak
 

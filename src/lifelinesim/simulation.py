@@ -50,12 +50,14 @@ from .recovery import (
     Crew,
     RecoveryError,
     build_planning_context,
+    crew_distances,
     default_crews,
     mpc_sequence,
     rank_components,
     repair_duration,
+    traffic,
 )
-from .traffic import TrafficAssignmentError, assign_traffic, link_times_key, road_distances
+from .traffic import TrafficAssignmentError, assign_traffic
 
 ACTION_FAIL = "fail"
 ACTION_REPAIR_START = "repair_start"
@@ -143,6 +145,8 @@ class EventTable:
                     problems.append(f"{row.component_id} repair_end before repair_start")
                 elif row.time <= start_at[row.component_id]:
                     problems.append(f"{row.component_id} repair has nonpositive duration")
+                if row.component_id in end_at:
+                    problems.append(f"{row.component_id} repair_end twice")
                 end_at[row.component_id] = row.time
         for cid in start_at:
             if cid not in end_at:
@@ -216,8 +220,10 @@ def build_event_table(
     the component's access node is reachable over in-service road links,
     and if so books travel (congested shortest path) plus the repair;
     inaccessible components are deferred in favor of later accessible
-    ones. Travel times refresh after every road-link repair. Crews
-    become available at the disaster occurrence time.
+    ones. Travel times refresh after every road-link repair, read from
+    the network memo's crew distances of each road state
+    (``crew_distances``). Crews become available at the disaster
+    occurrence time.
 
     When every crew is stuck: with a road crew present its next task is
     forced to the nearest failed road link (free-flow metric, blocked
@@ -266,25 +272,26 @@ def build_event_table(
 
     statuses: dict[str, str] = {f.component_id: STATUS_FAILED for f in scenario.failures}
 
-    def refresh_times() -> dict[str, float]:
+    def solve_roads() -> None:
+        """Solve the assignment of each road state as it arises, so that a
+        failure raises here and not in whatever routes crews first."""
         try:
-            return net.cached(link_times_key(net, statuses), lambda: assign_traffic(net, statuses)).link_time
+            traffic(net, statuses, assign_traffic)
         except TrafficAssignmentError as exc:
             raise SimulationError(f"traffic assignment failed during scheduling: {exc}") from exc
 
-    link_times = refresh_times()
+    solve_roads()
     # road repairs already booked but not yet open: (end_time, link_id)
     booked_roads: list[tuple[float, str]] = []
 
     def apply_openings(now: float) -> None:
-        nonlocal link_times
         while booked_roads and booked_roads[0][0] <= now + _TIME_TOL:
             _, link_id = booked_roads.pop(0)
             statuses[link_id] = STATUS_REPAIRED
-            link_times = refresh_times()
+            solve_roads()
 
     def first_accessible(crew: Crew, factor: float | None = None) -> tuple[str, float] | None:
-        dist = road_distances(net, crew.location, statuses, link_times, factor)
+        dist = crew_distances(net, crew.location, statuses, failed_factor=factor)
         for cid in pending[crew.network]:
             travel = dist[access_node(net, cid)]
             if math.isfinite(travel):
@@ -312,7 +319,9 @@ def build_event_table(
         if road_crew is None or TRAFFIC not in pending:
             return False
         apply_openings(road_crew.busy_until)
-        dist = road_distances(net, road_crew.location, statuses, failed_factor=BLOCKED_ROAD_FACTOR)
+        dist = crew_distances(
+            net, road_crew.location, statuses, congested=False, failed_factor=BLOCKED_ROAD_FACTOR
+        )
         best = None
         for cid in pending[TRAFFIC]:
             travel = dist[access_node(net, cid)]
@@ -626,20 +635,19 @@ def simulate(
     each distinct Newton solve runs once. A stored result is shared by
     every repeat, so the series arrays of every result are read-only.
     """
+    store = {} if store is None else store
+    key = (table.rows, default_horizon(table) if horizon is None else horizon)
+    if key in store:  # its ledger and horizon were checked when it was stored
+        return store[key]
     problems = table.validate()
     if problems:
         raise SimulationError("invalid event table: " + "; ".join(problems))
     _check_finite_horizon(horizon)
-    if horizon is None:
-        horizon = default_horizon(table)
-    elif horizon < table.last_time():
+    if horizon is not None and horizon < table.last_time():
         raise SimulationError(
             f"horizon {horizon} precedes the last event at {table.last_time()}"
         )
-    store = {} if store is None else store
-    key = (table.rows, horizon)
-    if key in store:
-        return store[key]
+    horizon = key[1]
 
     solves = store.setdefault(_NEWTON_SOLVES, {})
     water_ids, wt, ws, power_ids, pt, ps = _run_series(net, table, horizon, solves)

@@ -1,8 +1,9 @@
 """Source hygiene: every imported name is used by the module importing it,
 every exported name exists, every private definition is referenced, every
 public definition has a caller outside the tests, every CLI option is
-read, the CLI's import path stays clear of slow modules, and every binding
-the benchmark's tracer wraps still exists."""
+read, the CLI's import path stays clear of slow modules, every binding
+the benchmark's tracer wraps still exists, and the memo kinds the tests
+allow are the ones the package uses."""
 
 import argparse
 import ast
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import lifelinesim
 from lifelinesim import cli
+from test_resume import MEMO_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -112,6 +114,25 @@ def _unread_cli_options() -> dict[str, list[str]]:
     return unread
 
 
+def _memo_kinds() -> set[str]:
+    """The first element of every key the package passes to ``cached``:
+    a tuple literal's, or that of the tuple a package function returns."""
+    trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted((ROOT / "src" / "lifelinesim").glob("*.py"))]
+    returned = {node.name: ret.value for tree in trees for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                for ret in ast.walk(node) if isinstance(ret, ast.Return)}
+    kinds = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "cached":
+                key = node.args[0]
+                if isinstance(key, ast.Call):
+                    key = returned[key.func.id]
+                kinds.add(ast.literal_eval(key.elts[0]))
+    return kinds
+
+
 def test_scan_covers_package_tests_and_demos():
     dirs = {p.parent.name for p in _scanned_files()}
     assert dirs == {"lifelinesim", "tests", "demos"}
@@ -167,3 +188,8 @@ def test_benchmark_tracer_finds_every_binding_it_wraps():
     finally:
         t.uninstall()
     assert all(owner.__dict__[attr] is fn for (owner, attr), fn in zip(bindings, originals))
+
+
+def test_memo_kinds_match_the_package():
+    # test_resume asserts that a run leaves only these kinds in the memo
+    assert _memo_kinds() == MEMO_KINDS

@@ -18,7 +18,12 @@ from lifelinesim.hydraulics import WaterSimulator
 from lifelinesim.simulation import EventTable, run_scenario
 from lifelinesim.testbed import build_simple_testbed
 
-MEMO_KINDS = {"water_system", "baseline_water", "dispatch", "link_times", "peak_flow", "betweenness", "road_graph"}
+# the first element of every network memo key; test_hygiene checks that
+# this is exactly the set of kinds the package passes to ``cached``
+MEMO_KINDS = {
+    "water_system", "baseline_water", "dispatch", "link_times", "peak_flow", "betweenness", "road_graph",
+    "access_node", "crew_distances",
+}
 
 
 def _mpc_scenario(net, seed):

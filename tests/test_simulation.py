@@ -157,6 +157,18 @@ class TestTableValidation:
         table = EventTable((EventRow(0.0, "x", "explode"),))
         assert any("unknown action" in p for p in table.validate())
 
+    def test_repair_end_twice(self):
+        # replaying it would move PL2 from repaired to repaired
+        table = EventTable((
+            EventRow(0.0, "PL2", ACTION_FAIL),
+            EventRow(60.0, "PL2", ACTION_REPAIR_START, "c"),
+            EventRow(120.0, "PL2", ACTION_REPAIR_END, "c"),
+            EventRow(180.0, "PL2", ACTION_REPAIR_END, "c"),
+        ))
+        assert table.validate() == ["PL2 repair_end twice"]
+        with pytest.raises(SimulationError, match="invalid event table: PL2 repair_end twice"):
+            simulate(build_simple_testbed(), table, horizon=600.0)
+
     def test_simulate_rejects_invalid_table(self, corridor_net):
         table = EventTable((EventRow(0.0, "PW", ACTION_FAIL), EventRow(1.0, "PW", ACTION_FAIL)))
         with pytest.raises(SimulationError, match="invalid event table"):

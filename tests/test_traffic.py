@@ -2,6 +2,7 @@
 and the array all-or-nothing step and crew routing against a per-origin
 heap Dijkstra."""
 
+import itertools
 import math
 import random
 
@@ -10,10 +11,19 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from lifelinesim import graphs, simulation, traffic
+from lifelinesim import graphs, recovery, simulation, traffic
 from lifelinesim.hazard import HazardEvent, sample_scenario
-from lifelinesim.network import IN_SERVICE, Component, IntegratedNetwork, TRAFFIC
-from lifelinesim.recovery import build_planning_context, default_crews, rank_components
+from lifelinesim.network import (
+    IN_SERVICE,
+    TRAFFIC,
+    Component,
+    IntegratedNetwork,
+    access_node,
+    component_location,
+    nearest_zone,
+)
+from lifelinesim.recovery import build_planning_context, crew_distances, default_crews, rank_components
+from lifelinesim.testbed import build_simple_testbed
 from lifelinesim.traffic import (
     TrafficAssignmentError,
     TrafficParams,
@@ -360,7 +370,9 @@ class TestRoadDistances:
     def test_scheduler_ledgers(self, monkeypatch, net, seed, fallbacks):
         """``build_event_table`` books the same ledger when crews route on
         the heap oracle, for the full max_flow order and for the order
-        without its road repairs, where blocked roads stay failed."""
+        without its road repairs, where blocked roads stay failed. Each
+        routing schedules on a fresh network, so that neither reads the
+        crew distances the other left in the memo."""
         event = HazardEvent(kind="random", intensity="extreme", count=6)
         scenario = sample_scenario(net, event, seed=seed)
         failed = {f.component_id for f in scenario.failures}
@@ -373,9 +385,57 @@ class TestRoadDistances:
             return road_distances(net, origin, statuses, link_times, failed_factor)
 
         def ledgers(routing):
+            fresh = build_simple_testbed()
             with monkeypatch.context() as m:
-                m.setattr(simulation, "road_distances", routing)
-                return [simulation.build_event_table(net, scenario, o, allow_partial=True).rows for o in orders]
+                m.setattr(recovery, "road_distances", routing)
+                return [simulation.build_event_table(fresh, scenario, o, allow_partial=True).rows for o in orders]
 
         assert ledgers(recorded) == ledgers(_heap_road_distances)
         assert {c for c in calls if c[1] is not None} == fallbacks
+
+
+@pytest.fixture(scope="module")
+def crew_queries(net):
+    """Every crew-distance query the scheduler can make on a seeded
+    6-failure scenario with three failed road links, with its answer from
+    fresh ``road_distances`` calls: each road state (each failed link
+    failed, under repair or repaired), each origin, and each metric
+    (congested; congested crossing blocked links at 5x; free-flow at 5x)."""
+    scenario = sample_scenario(net, HazardEvent(kind="random", intensity="extreme", count=6), seed=1)
+    failed = {f.component_id: "failed" for f in scenario.failures}
+    roads = sorted(cid for cid in failed if net.component(cid).kind == "road_link")
+    assert len(roads) == 3
+    metrics = [(True, None), (True, simulation.BLOCKED_ROAD_FACTOR), (False, simulation.BLOCKED_ROAD_FACTOR)]
+    queries = []
+    for flags in itertools.product(("failed", "under_repair", "repaired"), repeat=len(roads)):
+        statuses = {**failed, **dict(zip(roads, flags))}
+        congested = assign_traffic(net, statuses).link_time
+        for origin in net.nodes_of(TRAFFIC):
+            for use_congested, factor in metrics:
+                times = congested if use_congested else None
+                want = road_distances(net, origin.id, statuses, times, factor)
+                queries.append(((origin.id, statuses, use_congested, factor), want))
+    return queries
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_memoized_crew_routing_equals_fresh(net, crew_queries, order):
+    """Crew distances and access nodes read from the memo equal fresh
+    ``road_distances`` and ``nearest_zone`` results in any call order, and
+    road states that differ only in status names share one entry."""
+    rng = random.Random(order)
+    queries = rng.sample(crew_queries, len(crew_queries))
+    components = rng.sample([c.id for c in net.components], len(net.components))
+    memo = build_simple_testbed()
+    for query, cid in itertools.zip_longest(queries, components):
+        if cid is not None:
+            assert access_node(memo, cid) == nearest_zone(net, component_location(net.component(cid), net))
+        if query is not None:
+            args, want = query
+            got = crew_distances(memo, *args)
+            assert got == want
+            assert crew_distances(memo, *args) is got
+    kinds = [key[0] for key in memo._memo]
+    # 9 origins x 8 road states (a link under repair keys like a failed one) x 3 metrics
+    assert kinds.count("crew_distances") == 9 * 8 * 3
+    assert kinds.count("access_node") == len(net.components)
