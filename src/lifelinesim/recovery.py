@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from . import graphs
 from .hydraulics import solve_hydraulics
@@ -87,13 +88,10 @@ class PlanningContext:
     travel_time: Callable[[str, str], float]
 
 
-def traffic(net: IntegratedNetwork, statuses: dict[str, str], assign=None) -> TrafficState:
+def road_assignment(net: IntegratedNetwork, statuses: dict[str, str]) -> TrafficState:
     """The assignment of the statuses' road state, solved once per
-    network and road state: the memo entry ``link_times_key``. A module
-    that binds ``assign_traffic`` itself (``simulation``, whose binding
-    the benchmark's tracer times) passes it as ``assign``, so that its
-    own binding is the one that runs."""
-    return net.cached(link_times_key(net, statuses), lambda: (assign or assign_traffic)(net, statuses))
+    network and road state: the memo entry ``link_times_key``."""
+    return net.cached(link_times_key(net, statuses), lambda: assign_traffic(net, statuses))
 
 
 def crew_distances(
@@ -102,17 +100,18 @@ def crew_distances(
     statuses: dict[str, str],
     congested: bool = True,
     failed_factor: float | None = None,
-) -> dict[str, float]:
+) -> Mapping[str, float]:
     """``road_distances`` from ``origin`` under the statuses' road state,
-    over the congested times of that state's assignment (``traffic``) or,
-    when not ``congested``, free-flow times. Found once per network,
-    origin, road state, metric and factor: the memo entry
-    ``("crew_distances", ...)``."""
+    over the congested times of that state's assignment
+    (``road_assignment``) or, when not ``congested``, free-flow times.
+    Found once per network, origin, road state, metric and factor: the
+    memo entry ``("crew_distances", ...)``. Every later call on the
+    network shares it, so it is a read-only view."""
     road_state = net.service_key(TRAFFIC, statuses)
 
-    def compute() -> dict[str, float]:
-        times = traffic(net, statuses).link_time if congested else None
-        return road_distances(net, origin, statuses, times, failed_factor)
+    def compute() -> Mapping[str, float]:
+        times = road_assignment(net, statuses).link_time if congested else None
+        return MappingProxyType(road_distances(net, origin, statuses, times, failed_factor))
 
     return net.cached(("crew_distances", origin, road_state, congested, failed_factor), compute)
 
@@ -121,7 +120,7 @@ def _post_failure_travel(net, statuses) -> Callable[[str, str], float]:
     """Congested origin->destination times under current road conditions,
     read from the crew distances of the post-failure road state. The
     assignment behind them is solved here, so its errors raise here."""
-    traffic(net, statuses)
+    road_assignment(net, statuses)
     return lambda origin, destination: crew_distances(net, origin, statuses)[destination]
 
 
@@ -164,7 +163,7 @@ def _peak_flows(net: IntegratedNetwork) -> dict[str, float]:
     for bid, q in power.line_flow.items():
         peak[bid] = abs(q)
 
-    for lid, x in traffic(net, {}).link_flow.items():
+    for lid, x in road_assignment(net, {}).link_flow.items():
         peak[lid] = abs(x)
     return peak
 

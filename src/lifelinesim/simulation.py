@@ -55,9 +55,8 @@ from .recovery import (
     mpc_sequence,
     rank_components,
     repair_duration,
-    traffic,
 )
-from .traffic import TrafficAssignmentError, assign_traffic
+from .traffic import TrafficAssignmentError, assign_traffic, link_times_key
 
 ACTION_FAIL = "fail"
 ACTION_REPAIR_START = "repair_start"
@@ -127,6 +126,8 @@ class EventTable:
             if row.action not in ACTIONS:
                 problems.append(f"unknown action {row.action!r} for {row.component_id}")
                 continue
+            if not math.isfinite(row.time):
+                problems.append(f"{row.component_id} {row.action} at non-finite time {row.time}")
             if row.action == ACTION_FAIL:
                 if row.component_id in fail_at:
                     problems.append(f"{row.component_id} fails twice")
@@ -276,7 +277,7 @@ def build_event_table(
         """Solve the assignment of each road state as it arises, so that a
         failure raises here and not in whatever routes crews first."""
         try:
-            traffic(net, statuses, assign_traffic)
+            net.cached(link_times_key(net, statuses), lambda: assign_traffic(net, statuses))
         except TrafficAssignmentError as exc:
             raise SimulationError(f"traffic assignment failed during scheduling: {exc}") from exc
 
@@ -598,10 +599,13 @@ def _baseline_water(
 
 
 def default_horizon(table: EventTable) -> float:
+    """The last repair end (or last event) plus the post-recovery window,
+    rounded up to the water sample grid. A ledger whose end is not
+    finite, which ``validate`` rejects, gets that end back unrounded."""
     last_end = table.last_repair_end()
     base = last_end if last_end is not None else table.last_time()
     raw = base + POST_RECOVERY_WINDOW
-    return math.ceil(raw / WATER_SAMPLE_STEP) * WATER_SAMPLE_STEP
+    return math.ceil(raw / WATER_SAMPLE_STEP) * WATER_SAMPLE_STEP if math.isfinite(raw) else raw
 
 
 def _check_finite_horizon(horizon: float | None) -> None:

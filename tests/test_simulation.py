@@ -174,6 +174,20 @@ class TestTableValidation:
         with pytest.raises(SimulationError, match="invalid event table"):
             simulate(corridor_net, table, horizon=60.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_times_are_invalid(self, bad):
+        # without a horizon, simulate reports these ledgers as invalid
+        # before it would round a non-finite default horizon
+        net = build_simple_testbed()
+        unknown = EventTable((EventRow(bad, "PL5", "explode"),))
+        with pytest.raises(SimulationError, match="invalid event table: unknown action 'explode' for PL5$"):
+            simulate(net, unknown)
+        table = EventTable((EventRow(0.0, "PL5", ACTION_FAIL), EventRow(bad, "PL5", ACTION_REPAIR_START, "c")))
+        problems = table.validate()
+        assert f"PL5 repair_start at non-finite time {bad}" in problems
+        with pytest.raises(SimulationError, match="invalid event table: .*non-finite time"):
+            simulate(net, table, store={})
+
 
 class TestScheduling:
     def test_travel_plus_duration_arithmetic(self, corridor_net):

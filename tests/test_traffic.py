@@ -421,8 +421,9 @@ def crew_queries(net):
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_memoized_crew_routing_equals_fresh(net, crew_queries, order):
     """Crew distances and access nodes read from the memo equal fresh
-    ``road_distances`` and ``nearest_zone`` results in any call order, and
-    road states that differ only in status names share one entry."""
+    ``road_distances`` and ``nearest_zone`` results in any call order,
+    road states that differ only in status names share one entry, and a
+    caller cannot change a shared distance table."""
     rng = random.Random(order)
     queries = rng.sample(crew_queries, len(crew_queries))
     components = rng.sample([c.id for c in net.components], len(net.components))
@@ -435,6 +436,8 @@ def test_memoized_crew_routing_equals_fresh(net, crew_queries, order):
             got = crew_distances(memo, *args)
             assert got == want
             assert crew_distances(memo, *args) is got
+            with pytest.raises(TypeError):  # shared by every later call, so read-only
+                got[args[0]] = 0.0
     kinds = [key[0] for key in memo._memo]
     # 9 origins x 8 road states (a link under repair keys like a failed one) x 3 metrics
     assert kinds.count("crew_distances") == 9 * 8 * 3
