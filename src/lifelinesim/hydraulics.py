@@ -7,6 +7,10 @@ explicit Euler between steps. Failed pipes keep conveying but lose water
 through a midpoint orifice sized to half the pipe cross-section; failed
 or unpowered pumps close.
 
+The Newton iteration is damped, with a bounded full step: the watchdog
+of Chamberlain et al. (1982) and Grippo et al. (1986), limited by
+``_RELAXED_STEPS`` and ``_RELAXED_GROWTH`` (see ``WaterSimulator._newton``).
+
 Each topology (in-service flags, forced-off pumps and closed tanks) is
 compiled once per network into the arrays, the Jacobian pattern and the
 coefficient products its Newton solves read, and kept in the network's
@@ -31,6 +35,9 @@ from .network import IN_SERVICE, IntegratedNetwork, WATER
 
 G = 9.81
 _HW_EXP = 1.852
+# bounded full step of the Newton line search (see ``WaterSimulator._newton``)
+_RELAXED_STEPS = 5
+_RELAXED_GROWTH = 100.0
 
 
 class HydraulicError(Exception):
@@ -402,15 +409,34 @@ class WaterSimulator:
     @staticmethod
     def _newton(sys: _System, heads, q, h):
         """Damped Newton from flows ``q`` and junction heads ``h``;
-        ``heads`` holds the fixed heads at its tail."""
+        ``heads`` holds the fixed heads at its tail.
+
+        The line search halves the step until the residual max-norm passes
+        an Armijo test, but up to ``_RELAXED_STEPS`` times per call takes a
+        full step whose residual is finite and below ``_RELAXED_GROWTH``
+        times the current one. Once those are spent, an iterate above the
+        least residual met returns to it and goes on by Armijo steps only;
+        without that return some tank-closure re-solves stall until
+        ``max_iterations``. This is the watchdog technique of Chamberlain,
+        Powell, Lemarechal & Pedersen (Math. Programming Study 16, 1982);
+        see also Grippo, Lampariello & Lucidi (SIAM J. Numer. Anal. 23(4),
+        1986).
+        """
         prm = sys.params
         nj, nl = len(sys.junction_ids), len(sys.link_ids)
         F, terms = sys.residual(q, h, heads)
         norm = float(np.abs(F).max())
-        iters = 0
+        iters = relaxed = 0
+        checkpoint = (q, h, F, terms, norm)
         for iters in range(1, prm.max_iterations + 1):
             if norm < prm.tol:
                 break
+            if norm < checkpoint[-1]:
+                checkpoint = (q, h, F, terms, norm)
+            elif relaxed == _RELAXED_STEPS and norm > checkpoint[-1]:
+                # the full steps did not pay off
+                q, h, F, terms, norm = checkpoint
+                relaxed += 1
             J = sys.incidence.copy()
             J.flat[:: nl + nj + 1] = sys.jacobian_diagonal(terms)
             try:
@@ -424,6 +450,10 @@ class WaterSimulator:
                 Fn, tn = sys.residual(qn, hn, heads)
                 nn = float(np.abs(Fn).max())
                 if nn < norm * (1.0 - 1e-4 * lam) or nn < prm.tol:
+                    best = (qn, hn, Fn, tn, nn)
+                    break
+                if lam == 1.0 and relaxed < _RELAXED_STEPS and nn < _RELAXED_GROWTH * norm:
+                    relaxed += 1
                     best = (qn, hn, Fn, tn, nn)
                     break
                 if best is None or nn < best[-1]:
