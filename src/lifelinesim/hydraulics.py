@@ -30,8 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import graphs
-from .network import IN_SERVICE, IntegratedNetwork, WATER
+from .network import IN_SERVICE, IntegratedNetwork, WATER, component_roots
 
 G = 9.81
 _HW_EXP = 1.852
@@ -208,13 +207,9 @@ class _System:
         # junction groups with no in-service fixed-head source stay dead:
         # zero flow, zero served demand, pressure pinned at elevation.
         junction_ids = [j[0] for j in junctions]
-        edges = [(l[2], l[3]) for l in raw_links]
-        fixed = set(self.fixed_ids)
-        live = set(fixed)
-        for comp in graphs.connected_components(junction_ids + self.fixed_ids, edges):
-            if comp & fixed:
-                live |= comp
-        dead = set(junction_ids) - live
+        root = component_roots(junction_ids + self.fixed_ids, [(l[2], l[3]) for l in raw_links])
+        live = {root[f] for f in self.fixed_ids}
+        dead = {j for j in junction_ids if root[j] not in live}
 
         kept = [j for j in junctions if j[0] not in dead]
         self.junction_ids = [j[0] for j in kept]

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-
-from . import graphs
 
 SCHEMA_VERSION = 1
 
@@ -83,6 +82,9 @@ _REQUIRED_ATTRS = {
     "external_grid": ("max_mw", "cost"),
     "road_link": ("free_flow_time", "capacity"),
 }
+# attrs that must be a finite number when present: the required ones,
+# which name every sign-checked one, and a demand node's elevation
+_NUMERIC_ATTRS = {**_REQUIRED_ATTRS, "demand_node": ("base_demand", "elevation")}
 
 # coupling kind -> (allowed source kinds, allowed target kinds); a pump
 # stops when its motor is de-energized, a generator when its tank runs dry
@@ -257,6 +259,23 @@ class IntegratedNetwork:
         return self.zone_priority.get(zone_id, 1)
 
 
+def component_roots(nodes, edges) -> dict[str, str]:
+    """Each node's connected component in the undirected graph, named by
+    the least node id in it. Every edge end must be one of ``nodes``."""
+    parent = {n: n for n in nodes}
+
+    def find(n: str) -> str:
+        while parent[n] != n:
+            parent[n] = parent[parent[n]]  # path halving
+            n = parent[n]
+        return n
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return {n: find(n) for n in parent}
+
+
 def _component_graph(net: IntegratedNetwork, network: str) -> tuple[list[str], list[tuple[str, str]]]:
     """Nodes and undirected edges of one network's component graph.
 
@@ -274,6 +293,11 @@ def _component_graph(net: IntegratedNetwork, network: str) -> tuple[list[str], l
             for bus in c.buses or ():
                 edges.append((c.id, bus))
     return nodes, edges
+
+
+def _is_number(v) -> bool:
+    """A finite int or float; a bool is no number here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def validate_network(net: IntegratedNetwork) -> list[Violation]:
@@ -302,17 +326,20 @@ def validate_network(net: IntegratedNetwork) -> list[Violation]:
         for attr in _REQUIRED_ATTRS.get(c.kind, ()):
             if attr not in c.attrs:
                 out.append(Violation(c.id, "required-attr", f"missing attr {attr!r}"))
+        for attr in _NUMERIC_ATTRS.get(c.kind, ()):
+            if attr in c.attrs and not _is_number(c.attrs[attr]):
+                out.append(Violation(c.id, "numeric-attr", f"{attr}={c.attrs[attr]!r} must be a finite number"))
         for attr in _POSITIVE_ATTRS.get(c.kind, ()):
             v = c.attrs.get(attr)
-            if v is not None and not v > 0:
+            if _is_number(v) and not v > 0:
                 out.append(Violation(c.id, "positive-attr", f"{attr}={v!r} must be > 0"))
         for attr in _NONNEGATIVE_ATTRS.get(c.kind, ()):
             v = c.attrs.get(attr)
-            if v is not None and not v >= 0:
+            if _is_number(v) and not v >= 0:
                 out.append(Violation(c.id, "nonnegative-attr", f"{attr}={v!r} must be >= 0"))
         if c.kind == "tank":
             a = c.attrs
-            if all(k in a for k in ("min_level", "max_level", "init_level")):
+            if all(_is_number(a.get(k)) for k in ("min_level", "max_level", "init_level")):
                 if not (a["min_level"] <= a["init_level"] <= a["max_level"]):
                     out.append(Violation(c.id, "tank-levels", "init_level outside [min_level, max_level]"))
                 if not a["min_level"] < a["max_level"]:
@@ -371,11 +398,11 @@ def validate_network(net: IntegratedNetwork) -> list[Violation]:
             nodes, edges = _component_graph(net, network)
             if not nodes:
                 continue
-            comps = graphs.connected_components(nodes, edges)
-            if len(comps) > 1:
-                sizes = sorted(len(c) for c in comps)
+            pieces = Counter(component_roots(nodes, edges).values())
+            if len(pieces) > 1:
+                sizes = sorted(pieces.values())
                 out.append(
-                    Violation("", "connected", f"{network} graph splits into {len(comps)} pieces (sizes {sizes})")
+                    Violation("", "connected", f"{network} graph splits into {len(pieces)} pieces (sizes {sizes})")
                 )
     return out
 
@@ -431,13 +458,18 @@ def _component_to_dict(c: Component) -> dict:
 
 
 def _component_from_dict(network: str, d: dict) -> Component:
+    if not isinstance(d, dict):
+        raise NetworkError(f"component entry in {network!r} is not an object: {d!r}")
     ends = (d["from"], d["to"]) if "from" in d else None
     buses = tuple(d["buses"]) if "buses" in d else None
+    location = d["location"]
+    if not (isinstance(location, (list, tuple)) and len(location) == 2 and all(map(_is_number, location))):
+        raise NetworkError(f"component {d['id']!r} location {location!r} is not a pair of numbers")
     return Component(
         id=d["id"],
         network=network,
         kind=d["kind"],
-        location=tuple(d["location"]),
+        location=tuple(location),
         attrs=dict(d.get("attrs", {})),
         ends=ends,
         buses=buses,
@@ -463,6 +495,8 @@ def network_to_dict(net: IntegratedNetwork) -> dict:
 
 
 def network_from_dict(doc: dict) -> IntegratedNetwork:
+    if not isinstance(doc, dict):
+        raise NetworkError(f"network document is a {type(doc).__name__}, not an object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise NetworkError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
@@ -476,11 +510,15 @@ def network_from_dict(doc: dict) -> IntegratedNetwork:
     dependencies = [
         Dependency(d["source"], d["target"], d["kind"]) for d in doc.get("dependencies", [])
     ]
+    priorities = doc.get("zone_priority", {})
+    for z, p in priorities.items():
+        if not _is_number(p):
+            raise NetworkError(f"zone {z!r} priority {p!r} is not a number")
     net = IntegratedNetwork(
         components,
         dependencies,
         od_matrix=doc.get("od_matrix", {}),
-        zone_priority={z: int(p) for z, p in doc.get("zone_priority", {}).items()},
+        zone_priority={z: int(p) for z, p in priorities.items()},
     )
     violations = validate_network(net)
     if violations:

@@ -5,8 +5,9 @@ total shed load, then minimize linear generation cost among the
 shed-optimal solutions (with a vanishing per-consumer serving bonus so
 the optimum is unique and runs are reproducible). External grids may
 couple several incomer buses; the coupling is treated as zero-impedance,
-so the grid and its buses form one electrical supernode. Islands without
-any in-service source shed everything.
+so the grid and its buses form one electrical supernode, shared by every
+grid on any of those buses. Islands without any in-service source shed
+everything.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from . import graphs
-from .network import IN_SERVICE, IntegratedNetwork, POWER
+from .network import IN_SERVICE, IntegratedNetwork, POWER, component_roots
 
 _BALANCE_TOL = 1e-8
 
@@ -72,51 +72,41 @@ def solve_power(
         (c for c in net.attached_of() if c.kind in ("load", "motor")), key=lambda c: c.id
     )
 
-    # merge every external grid with its incomer buses (zero-impedance ties)
-    parent: dict[str, str] = {b: b for b in buses}
-    for g in sources:
-        if g.kind != "external_grid":
-            continue
-        anchor = sorted(g.buses)[0]
-        for b in g.buses:
-            parent[b] = anchor
-
-    def root(b: str) -> str:
-        return parent[b]
-
-    supernodes = sorted(set(parent.values()))
+    # an external grid ties its incomer buses into one zero-impedance
+    # supernode; live branches then join supernodes into islands, and a
+    # node or island is named by its least bus
+    ties = [(g.buses[0], b) for g in sources if g.kind == "external_grid" for b in g.buses]
+    root = component_roots(buses, ties)
     live_branches = [
         c
         for c in branches
-        if _status(net, statuses, c.id) in IN_SERVICE and root(c.ends[0]) != root(c.ends[1])
+        if _status(net, statuses, c.id) in IN_SERVICE and root[c.ends[0]] != root[c.ends[1]]
     ]
-    islands = graphs.connected_components(
-        supernodes, [(root(c.ends[0]), root(c.ends[1])) for c in live_branches]
-    )
+    island = component_roots(buses, ties + [c.ends for c in live_branches])
 
     flow = {c.id: 0.0 for c in branches}
     served = {c.id: 0.0 for c in consumers}
     generation = {s.id: 0.0 for s in sources}
     total_cost = 0.0
     worst_residual = 0.0
-    live: set[str] = set()  # supernodes of islands with a source
+    live: set[str] = set()  # islands with a source
 
-    for i, island in enumerate(sorted(islands, key=lambda s: sorted(s)[0])):
-        nodes = sorted(island)
+    for i, isl in enumerate(sorted(set(island.values()))):
+        nodes = sorted({root[b] for b in buses if island[b] == isl})
         nidx = {n: k for k, n in enumerate(nodes)}
-        isl_branches = [c for c in live_branches if root(c.ends[0]) in island]
+        isl_branches = [c for c in live_branches if island[c.ends[0]] == isl]
         isl_sources = [
             s
             for s in sources
-            if root(sorted(s.buses)[0]) in island
+            if island[sorted(s.buses)[0]] == isl
             and s.id not in off
             and _status(net, statuses, s.id) in IN_SERVICE
         ]
-        isl_consumers = [c for c in consumers if root(c.buses[0]) in island]
+        isl_consumers = [c for c in consumers if island[c.buses[0]] == isl]
 
         if not isl_sources:
             continue  # fully shed, flows stay 0
-        live |= island
+        live.add(isl)
 
         n_n, n_b, n_g, n_c = len(nodes), len(isl_branches), len(isl_sources), len(isl_consumers)
         n_x = n_n + n_g + n_c  # theta, generation, served
@@ -130,22 +120,22 @@ def solve_power(
         b_eq = np.zeros(n_n + 1)
         for c in isl_branches:
             b_k = c.attrs["susceptance"]
-            a, b = root(c.ends[0]), root(c.ends[1])
+            a, b = root[c.ends[0]], root[c.ends[1]]
             a_eq[nidx[a], nidx[a]] += b_k
             a_eq[nidx[a], nidx[b]] -= b_k
             a_eq[nidx[b], nidx[b]] += b_k
             a_eq[nidx[b], nidx[a]] -= b_k
         for k, s in enumerate(isl_sources):
-            a_eq[nidx[root(sorted(s.buses)[0])], gen0 + k] -= 1.0
+            a_eq[nidx[root[sorted(s.buses)[0]]], gen0 + k] -= 1.0
         for k, c in enumerate(isl_consumers):
-            a_eq[nidx[root(c.buses[0])], srv0 + k] += 1.0
+            a_eq[nidx[root[c.buses[0]]], srv0 + k] += 1.0
         a_eq[n_n, th + 0] = 1.0  # reference angle
 
         a_ub = np.zeros((2 * n_b, n_x))
         b_ub = np.zeros(2 * n_b)
         for k, c in enumerate(isl_branches):
             b_k, lim = c.attrs["susceptance"], c.attrs["limit_mw"]
-            a, b = root(c.ends[0]), root(c.ends[1])
+            a, b = root[c.ends[0]], root[c.ends[1]]
             a_ub[2 * k, nidx[a]] = b_k
             a_ub[2 * k, nidx[b]] = -b_k
             a_ub[2 * k + 1, nidx[a]] = -b_k
@@ -188,7 +178,7 @@ def solve_power(
 
         x = res.x
         for c in isl_branches:
-            a, b = root(c.ends[0]), root(c.ends[1])
+            a, b = root[c.ends[0]], root[c.ends[1]]
             flow[c.id] = float(c.attrs["susceptance"] * (x[nidx[a]] - x[nidx[b]]))
         for k, s in enumerate(isl_sources):
             generation[s.id] = float(x[gen0 + k])
@@ -206,7 +196,7 @@ def solve_power(
         served=served,
         shed=shed,
         generation=generation,
-        energized={b: root(b) in live for b in buses},
+        energized={b: island[b] in live for b in buses},
         total_shed=float(sum(shed.values())),
         total_cost=total_cost,
         balance_residual=worst_residual,

@@ -11,12 +11,12 @@ pipeline, and commits one repair at a time.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from . import graphs
 from .hydraulics import solve_hydraulics
 from .network import (
     NETWORKS,
@@ -172,11 +172,66 @@ def _peak_flows(net: IntegratedNetwork) -> dict[str, float]:
 # ranking strategies
 
 
+def edge_betweenness(
+    nodes: list[str],
+    edges: dict[str, tuple[str, str]],
+    directed: bool = False,
+) -> dict[str, float]:
+    """Exact unweighted edge betweenness via Brandes accumulation.
+
+    Scores count each unordered source/target pair once (a path graph
+    a-b-c gives both edges a score of 2). Parallel edges are collapsed
+    for path counting and each member of the bundle receives the full
+    bundle score, since they are interchangeable for ranking.
+    """
+    adj: dict[str, list[str]] = {n: [] for n in nodes}
+    bundle: dict[tuple[str, str], list[str]] = {}
+    for eid in sorted(edges):
+        a, b = edges[eid]
+        bundle.setdefault((a, b), []).append(eid)
+        if not directed:
+            bundle.setdefault((b, a), []).append(eid)
+    for a, b in bundle:
+        adj[a].append(b)
+    score: dict[str, float] = {eid: 0.0 for eid in edges}
+
+    for source in nodes:
+        # single-source BFS with path counting
+        sigma = {n: 0.0 for n in nodes}
+        sigma[source] = 1.0
+        dist = {source: 0}
+        parents: dict[str, list[str]] = {n: [] for n in nodes}
+        order = []
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    parents[w].append(v)
+        # back-propagate pair dependencies
+        delta = {n: 0.0 for n in nodes}
+        for w in reversed(order):
+            for v in parents[w]:
+                share = sigma[v] / sigma[w] * (1.0 + delta[w])
+                for eid in bundle[(v, w)]:
+                    score[eid] += share
+                delta[v] += share
+    if not directed:
+        for eid in score:
+            score[eid] /= 2.0
+    return score
+
+
 def _network_betweenness(net: IntegratedNetwork, network: str) -> dict[str, float]:
     def compute() -> dict[str, float]:
         nodes = [c.id for c in net.nodes_of(network)]
         edges = {c.id: c.ends for c in net.edges_of(network)}
-        return graphs.edge_betweenness(nodes, edges, directed=(network == TRAFFIC))
+        return edge_betweenness(nodes, edges, directed=(network == TRAFFIC))
 
     return net.cached(("betweenness", network), compute)
 

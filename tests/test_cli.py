@@ -47,6 +47,38 @@ class TestValidateAndTestbed:
     def test_missing_file_is_stage_error(self, tmp_path):
         assert run_cli("validate", "--network", str(tmp_path / "nope.json")) == 1
 
+    def test_null_attribute_lists_numeric_violation(self, tmp_path, capsys):
+        run_cli("make-testbed", "--out", str(tmp_path))
+        path = tmp_path / "simple_testbed.json"
+        doc = json.loads(path.read_text())
+        w1 = next(c for c in doc["water"] if c["id"] == "W1")
+        w1["attrs"]["base_demand"] = None
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", "--network", str(path)) == 1
+        out = capsys.readouterr().out
+        assert "W1: base_demand=None must be a finite number" in out
+        assert "INVALID: 1 violation(s)" in out
+
+    @pytest.mark.parametrize("break_doc", [
+        lambda doc: [doc],
+        lambda doc: doc["power"].append("B99"),
+        lambda doc: doc["water"][0].update(location=5.0),
+        lambda doc: doc["traffic"][0].update(location=["0", "1"]),
+        lambda doc: doc["zone_priority"].update(T1=None),
+    ], ids=["top-level-list", "entry-not-object", "location-scalar", "location-strings", "null-priority"])
+    def test_malformed_document_is_one_error_line(self, tmp_path, capsys, caplog, break_doc):
+        run_cli("make-testbed", "--out", str(tmp_path))
+        path = tmp_path / "simple_testbed.json"
+        doc = json.loads(path.read_text())
+        doc = break_doc(doc) or doc
+        path.write_text(json.dumps(doc))
+        caplog.clear()
+        assert run_cli("validate", "--network", str(path)) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert [r.getMessage().split(":")[0] for r in errors] == ["NetworkError"]
+        assert all(r.exc_info is None for r in errors)
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_writes_three_files(self, tmp_path):

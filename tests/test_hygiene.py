@@ -1,8 +1,9 @@
 """Source hygiene: every imported name is used by the module importing it,
 every exported name exists, every private definition is referenced, every
 public definition has a caller outside the tests, every CLI option is
-read, the CLI's import path stays clear of slow modules, every binding
-the benchmark's tracer wraps still exists, and the memo kinds the tests
+read, the CLI's import path stays clear of slow modules, no package
+module imports the test-oracle module ``graphs``, every binding the
+benchmark's tracer wraps still exists, and the memo kinds the tests
 allow are the ones the package uses."""
 
 import argparse
@@ -170,6 +171,23 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     code = "import sys, lifelinesim.cli; print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_package_module_imports_graphs():
+    # graphs keeps only the reference Dijkstra; connectivity is answered
+    # by network.component_roots
+    importers = []
+    for path in sorted((ROOT / "src" / "lifelinesim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any("graphs" in name.split(".") for name in names):
+                importers.append(path.stem)
+    assert importers == []
 
 
 def test_benchmark_tracer_finds_every_binding_it_wraps():

@@ -1,10 +1,17 @@
 """Network schema, validation rules, status transitions, and access lookups."""
 
 import math
+from dataclasses import replace
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lifelinesim.network import (
+    _NONNEGATIVE_ATTRS,
+    _POSITIVE_ATTRS,
+    _REQUIRED_ATTRS,
     Component,
     Dependency,
     IntegratedNetwork,
@@ -18,6 +25,7 @@ from lifelinesim.network import (
     access_node,
     check_transition,
     component_location,
+    component_roots,
     load_network,
     nearest_zone,
     network_from_dict,
@@ -161,6 +169,52 @@ class TestValidation:
         ]
         violations = validate_network(IntegratedNetwork(comps, []))
         assert any(v.rule == "unique-id" for v in violations)
+
+
+def _with_attr(net, component_id, attr, value):
+    comps = [replace(c, attrs={**c.attrs, attr: value}) if c.id == component_id else c for c in net.components]
+    return IntegratedNetwork(comps, net.dependencies, od_matrix=net.od_matrix, zone_priority=net.zone_priority)
+
+
+class TestNumericAttrs:
+    # one attr named by each of the required, positive and non-negative
+    # tables, a tank level, and a demand node's optional elevation
+    @pytest.mark.parametrize("component_id, attr", [
+        ("W1", "base_demand"), ("W1", "elevation"), ("WP-W1-W2", "length"),
+        ("WT1", "min_level"), ("PG1", "cost"), ("PLD1", "demand_mw"),
+    ])
+    @pytest.mark.parametrize("value", [None, "7", True, math.nan, math.inf])
+    def test_non_number_flagged_once(self, net, component_id, attr, value):
+        violations = validate_network(_with_attr(net, component_id, attr, value))
+        assert [(v.component_id, v.rule) for v in violations] == [(component_id, "numeric-attr")]
+        assert attr in violations[0].message
+
+    def test_int_values_pass(self, net):
+        assert validate_network(_with_attr(net, "W1", "elevation", 3)) == []
+        assert validate_network(_with_attr(net, "WP-W1-W2", "length", 1000)) == []
+
+    def test_sign_checked_attrs_are_required(self):
+        # the numeric rule reads the required table alone for these
+        for table in (_POSITIVE_ATTRS, _NONNEGATIVE_ATTRS):
+            assert all(set(attrs) <= set(_REQUIRED_ATTRS[kind]) for kind, attrs in table.items())
+
+
+_IDS = st.text("abcdefgh", min_size=1, max_size=3)
+
+
+class TestComponentRoots:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(nodes=st.lists(_IDS, min_size=1, max_size=12, unique=True), data=st.data())
+    def test_matches_networkx(self, nodes, data):
+        # self-loops, duplicate edges and either orientation are all drawn
+        ends = st.sampled_from(nodes)
+        edges = data.draw(st.lists(st.tuples(ends, ends), max_size=20))
+        roots = component_roots(nodes, edges)
+        graph = nx.Graph()
+        graph.add_nodes_from(nodes)
+        graph.add_edges_from(edges)
+        want = {n: min(comp) for comp in nx.connected_components(graph) for n in comp}
+        assert roots == want
 
 
 class TestStatusTransitions:

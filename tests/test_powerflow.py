@@ -158,6 +158,19 @@ class TestTestbedDispatch:
         state = solve_power(net, {}, forced_off={"PG1"})
         assert sum(state.served.values()) == pytest.approx(0.0, abs=1e-12)
 
+    def test_grids_sharing_a_bus_form_one_supernode(self, net):
+        # PG2 shares B2 with PG1, so B1, B2 and B4 are one supernode that
+        # both grids feed
+        pg2 = Component("PG2", POWER, "external_grid", (1000.0, 2400.0),
+                        {"max_mw": 1.0, "cost": 10.0}, buses=("B2", "B4"))
+        two = IntegratedNetwork([*net.components, pg2], net.dependencies,
+                                od_matrix=net.od_matrix, zone_priority=net.zone_priority)
+        state = solve_power(two, {})
+        assert state.total_shed == pytest.approx(0.0, abs=1e-9)
+        assert state.served["PLD3"] == pytest.approx(25.0, abs=1e-9)
+        assert state.served["PM1"] == pytest.approx(2.0, abs=1e-9)
+        assert all(state.energized.values())
+
     def test_unknown_motor_raises(self, net):
         state = solve_power(net, {})
         with pytest.raises((PowerFlowError, KeyError)):

@@ -1,8 +1,9 @@
 """Repair ranking strategies, crew defaults, and receding-horizon search."""
 
+import networkx as nx
 import pytest
 
-from lifelinesim import graphs, recovery, simulation
+from lifelinesim import recovery, simulation
 from lifelinesim.hazard import ComponentFailure, DisasterScenario, HazardEvent, sample_scenario
 from lifelinesim.network import (
     Component,
@@ -18,6 +19,7 @@ from lifelinesim.recovery import (
     STRATEGIES,
     build_planning_context,
     default_crews,
+    edge_betweenness,
     mpc_sequence,
     rank_components,
     repair_duration,
@@ -91,11 +93,60 @@ class TestDurationsAndCrews:
 
 class TestNetworkBetweenness:
     def test_scores_are_graph_edge_betweenness(self, net):
+        # networkx scores node pairs on a simple graph; the testbed has no
+        # parallel edges, so each edge's score is its networkx score
         for network in ("water", "power", "traffic"):
-            nodes = [c.id for c in net.nodes_of(network)]
+            graph = nx.DiGraph() if network == TRAFFIC else nx.Graph()
+            graph.add_nodes_from(c.id for c in net.nodes_of(network))
             edges = {c.id: c.ends for c in net.edges_of(network)}
-            want = graphs.edge_betweenness(nodes, edges, directed=(network == "traffic"))
-            assert recovery._network_betweenness(net, network) == want
+            graph.add_edges_from(edges.values())
+            assert graph.number_of_edges() == len(edges)
+            want = nx.edge_betweenness_centrality(graph, normalized=False)
+            if network != TRAFFIC:
+                want |= {(b, a): score for (a, b), score in want.items()}
+            got = recovery._network_betweenness(net, network)
+            want = {eid: want[ends] for eid, ends in edges.items()}
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_edge_betweenness_path_graph():
+    # On a-b-c every pair's shortest path uses the adjacent edges:
+    # (a,b) and (b,c) use one edge each, (a,c) uses both -> score 2 and 2.
+    scores = edge_betweenness(["a", "b", "c"], {"e1": ("a", "b"), "e2": ("b", "c")})
+    assert scores == {"e1": 2.0, "e2": 2.0}
+
+
+def test_edge_betweenness_star():
+    # Star center x with leaves a,b,c: each spoke carries its own pair
+    # plus two of the three leaf-leaf pairs -> 1 + 2 = 3.
+    edges = {"xa": ("x", "a"), "xb": ("x", "b"), "xc": ("x", "c")}
+    scores = edge_betweenness(["x", "a", "b", "c"], edges)
+    assert scores == {"xa": 3.0, "xb": 3.0, "xc": 3.0}
+
+
+def test_edge_betweenness_directed_cycle():
+    # Directed triangle: every ordered pair has exactly one path; each
+    # edge serves its own pair and appears in two of the two-hop paths
+    # (as first hop of one, second hop of another) -> 3 each.
+    edges = {"ab": ("a", "b"), "bc": ("b", "c"), "ca": ("c", "a")}
+    scores = edge_betweenness(["a", "b", "c"], edges, directed=True)
+    assert scores == {"ab": 3.0, "bc": 3.0, "ca": 3.0}
+
+
+def test_edge_betweenness_split_paths():
+    # Two equal-length two-hop routes between a and d share the pair
+    # weight evenly.
+    edges = {
+        "ab": ("a", "b"),
+        "bd": ("b", "d"),
+        "ac": ("a", "c"),
+        "cd": ("c", "d"),
+    }
+    scores = edge_betweenness(["a", "b", "c", "d"], edges)
+    # pairs: (a,b)=ab, (a,c)=ac, (a,d) split, (b,d)=bd, (c,d)=cd,
+    # (b,c) two equal routes through a or d, split again.
+    assert scores["ab"] == pytest.approx(1.0 + 0.5 + 0.5)
+    assert scores["ab"] == scores["ac"] == scores["bd"] == scores["cd"]
 
 
 @pytest.fixture(scope="module")
