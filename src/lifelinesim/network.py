@@ -4,12 +4,15 @@ A single :class:`IntegratedNetwork` holds three physical networks plus
 the cross-network dependencies between them. Components are immutable;
 runtime operating state is carried separately as a ``component_statuses``
 mapping so one validated network can back many concurrent simulations.
+The ``KINDS`` table is the schema: each component kind's network, its
+role in the graph, and the rule each of its attributes must meet.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -34,57 +37,34 @@ _TRANSITIONS = {
     STATUS_REPAIRED: set(),
 }
 
-NODE_KINDS = {
-    WATER: {"demand_node", "tank", "reservoir"},
-    POWER: {"bus"},
-    TRAFFIC: {"zone_node"},
+# kind -> (network, role, {attr: rule}). The role is "node", "edge"
+# (wired by ``ends``) or "attached" (a power component riding ``buses``).
+# An attr's rule is ">0", ">=0" or "" (each a required finite number), or
+# "?" (optional, a finite number when present).
+KINDS = {
+    "demand_node": (WATER, "node", {"base_demand": ">=0", "elevation": "?"}),
+    "tank": (WATER, "node", {"elevation": "", "area": ">0", "min_level": "", "max_level": "", "init_level": ""}),
+    "reservoir": (WATER, "node", {"head": ""}),
+    "pipe": (WATER, "edge", {"length": ">0", "diameter": ">0", "roughness": ">0"}),
+    "pump": (WATER, "edge", {"head_gain": ">0", "qmax": ">0"}),
+    "bus": (POWER, "node", {}),
+    "line": (POWER, "edge", {"susceptance": ">0", "limit_mw": ">0"}),
+    "transformer": (POWER, "edge", {"susceptance": ">0", "limit_mw": ">0"}),
+    "switch": (POWER, "edge", {"susceptance": ">0", "limit_mw": ">0"}),
+    "load": (POWER, "attached", {"demand_mw": ">=0"}),
+    "motor": (POWER, "attached", {"demand_mw": ">=0"}),
+    "generator": (POWER, "attached", {"max_mw": ">0", "cost": ""}),
+    "external_grid": (POWER, "attached", {"max_mw": ">0", "cost": ""}),
+    "zone_node": (TRAFFIC, "node", {}),
+    "road_link": (TRAFFIC, "edge", {"free_flow_time": ">0", "capacity": ">0"}),
 }
-EDGE_KINDS = {
-    WATER: {"pipe", "pump"},
-    POWER: {"line", "transformer", "switch"},
-    TRAFFIC: {"road_link"},
+# (network, role) -> its kinds, for the membership tests
+_ROLE_KINDS = {
+    (n, r): {k for k, (kn, kr, _) in KINDS.items() if (kn, kr) == (n, r)} for n, r, _ in KINDS.values()
 }
-# power components attached to one or more buses rather than wired as edges
-ATTACHED_KINDS = {"load", "motor", "generator", "external_grid"}
 
 # components a hazard may fail directly
 HAZARD_ELIGIBLE_KINDS = {"pipe", "line", "road_link"}
-
-# attrs that must be strictly positive / merely non-negative, per kind
-_POSITIVE_ATTRS = {
-    "pipe": ("length", "diameter", "roughness"),
-    "pump": ("head_gain", "qmax"),
-    "tank": ("area",),
-    "line": ("susceptance", "limit_mw"),
-    "transformer": ("susceptance", "limit_mw"),
-    "switch": ("susceptance", "limit_mw"),
-    "external_grid": ("max_mw",),
-    "generator": ("max_mw",),
-    "road_link": ("free_flow_time", "capacity"),
-}
-_NONNEGATIVE_ATTRS = {
-    "demand_node": ("base_demand",),
-    "load": ("demand_mw",),
-    "motor": ("demand_mw",),
-}
-_REQUIRED_ATTRS = {
-    "demand_node": ("base_demand",),
-    "tank": ("elevation", "area", "min_level", "max_level", "init_level"),
-    "reservoir": ("head",),
-    "pipe": ("length", "diameter", "roughness"),
-    "pump": ("head_gain", "qmax"),
-    "line": ("susceptance", "limit_mw"),
-    "transformer": ("susceptance", "limit_mw"),
-    "switch": ("susceptance", "limit_mw"),
-    "load": ("demand_mw",),
-    "motor": ("demand_mw",),
-    "generator": ("max_mw", "cost"),
-    "external_grid": ("max_mw", "cost"),
-    "road_link": ("free_flow_time", "capacity"),
-}
-# attrs that must be a finite number when present: the required ones,
-# which name every sign-checked one, and a demand node's elevation
-_NUMERIC_ATTRS = {**_REQUIRED_ATTRS, "demand_node": ("base_demand", "elevation")}
 
 # coupling kind -> (allowed source kinds, allowed target kinds); a pump
 # stops when its motor is de-energized, a generator when its tank runs dry
@@ -120,10 +100,6 @@ class Component:
     ends: tuple[str, str] | None = None
     buses: tuple[str, ...] | None = None
     status: str = STATUS_OPERATIONAL
-
-    @property
-    def is_edge(self) -> bool:
-        return self.kind in EDGE_KINDS.get(self.network, ())
 
 
 @dataclass(frozen=True)
@@ -226,19 +202,16 @@ class IntegratedNetwork:
         return list(self._index.get((network, kind), ()))
 
     def nodes_of(self, network: str) -> list[Component]:
-        kinds = NODE_KINDS[network]
+        kinds = _ROLE_KINDS[network, "node"]
         return [c for c in self._index.get((network, None), ()) if c.kind in kinds]
 
     def edges_of(self, network: str) -> list[Component]:
-        kinds = EDGE_KINDS[network]
+        kinds = _ROLE_KINDS[network, "edge"]
         return [c for c in self._index.get((network, None), ()) if c.kind in kinds]
 
-    def attached_of(self, kind: str | None = None) -> list[Component]:
-        return [
-            c
-            for c in self._index.get((POWER, None), ())
-            if c.kind in ATTACHED_KINDS and (kind is None or c.kind == kind)
-        ]
+    def attached_of(self) -> list[Component]:
+        kinds = _ROLE_KINDS[POWER, "attached"]
+        return [c for c in self._index.get((POWER, None), ()) if c.kind in kinds]
 
     def consumers(self, network: str) -> list[Component]:
         """Components whose service level feeds the performance metrics."""
@@ -315,28 +288,23 @@ def validate_network(net: IntegratedNetwork) -> list[Violation]:
         if c.network not in NETWORKS:
             out.append(Violation(c.id, "known-network", f"unknown network {c.network!r}"))
             continue
-        known = NODE_KINDS[c.network] | EDGE_KINDS[c.network]
-        if c.network == POWER:
-            known = known | ATTACHED_KINDS
-        if c.kind not in known:
+        if KINDS.get(c.kind, ("",))[0] != c.network:
             out.append(Violation(c.id, "known-kind", f"kind {c.kind!r} not valid in {c.network}"))
             continue
         if c.status not in STATUSES:
             out.append(Violation(c.id, "known-status", f"unknown status {c.status!r}"))
-        for attr in _REQUIRED_ATTRS.get(c.kind, ()):
-            if attr not in c.attrs:
+        _, role, rules = KINDS[c.kind]
+        for attr, rule in rules.items():
+            if rule != "?" and attr not in c.attrs:
                 out.append(Violation(c.id, "required-attr", f"missing attr {attr!r}"))
-        for attr in _NUMERIC_ATTRS.get(c.kind, ()):
+        for attr in rules:
             if attr in c.attrs and not _is_number(c.attrs[attr]):
                 out.append(Violation(c.id, "numeric-attr", f"{attr}={c.attrs[attr]!r} must be a finite number"))
-        for attr in _POSITIVE_ATTRS.get(c.kind, ()):
-            v = c.attrs.get(attr)
-            if _is_number(v) and not v > 0:
-                out.append(Violation(c.id, "positive-attr", f"{attr}={v!r} must be > 0"))
-        for attr in _NONNEGATIVE_ATTRS.get(c.kind, ()):
-            v = c.attrs.get(attr)
-            if _is_number(v) and not v >= 0:
-                out.append(Violation(c.id, "nonnegative-attr", f"{attr}={v!r} must be >= 0"))
+        for sign, rule in ((">0", "positive-attr"), (">=0", "nonnegative-attr")):
+            for attr in (a for a, r in rules.items() if r == sign):
+                v = c.attrs.get(attr)
+                if _is_number(v) and not (v > 0 if sign == ">0" else v >= 0):
+                    out.append(Violation(c.id, rule, f"{attr}={v!r} must be {sign[:-1]} 0"))
         if c.kind == "tank":
             a = c.attrs
             if all(_is_number(a.get(k)) for k in ("min_level", "max_level", "init_level")):
@@ -344,14 +312,14 @@ def validate_network(net: IntegratedNetwork) -> list[Violation]:
                     out.append(Violation(c.id, "tank-levels", "init_level outside [min_level, max_level]"))
                 if not a["min_level"] < a["max_level"]:
                     out.append(Violation(c.id, "tank-levels", "min_level must be below max_level"))
-        if c.is_edge:
+        if role == "edge":
             if c.ends is None:
                 out.append(Violation(c.id, "edge-ends", "edge component lacks ends"))
             else:
                 for end in c.ends:
                     if end not in node_ids[c.network]:
                         out.append(Violation(c.id, "edge-ends", f"end {end!r} is not a {c.network} node"))
-        elif c.kind in ATTACHED_KINDS:
+        elif role == "attached":
             if not c.buses:
                 out.append(Violation(c.id, "attachment-bus", "attached component lists no bus"))
             else:
@@ -385,7 +353,9 @@ def validate_network(net: IntegratedNetwork) -> list[Violation]:
                 out.append(Violation(dest, "od-zone", "OD destination is not a traffic node"))
             elif orig == dest and volume != 0:
                 out.append(Violation(orig, "od-diagonal", "self-demand must be zero"))
-            elif not volume >= 0:
+            elif not _is_number(volume):
+                out.append(Violation(orig, "od-volume", f"demand to {dest} is {volume!r}, not a finite number"))
+            elif volume < 0:
                 out.append(Violation(orig, "od-volume", f"negative demand to {dest}"))
 
     for zone in net.zone_priority:
@@ -457,22 +427,36 @@ def _component_to_dict(c: Component) -> dict:
     return d
 
 
+_JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` if it is the JSON ``kind``, else a NetworkError naming ``what``."""
+    if not isinstance(value, kind):
+        raise NetworkError(f"{what} is not {_JSON_TYPES[kind]}: {reprlib.repr(value)}")
+    return value
+
+
 def _component_from_dict(network: str, d: dict) -> Component:
-    if not isinstance(d, dict):
-        raise NetworkError(f"component entry in {network!r} is not an object: {d!r}")
-    ends = (d["from"], d["to"]) if "from" in d else None
-    buses = tuple(d["buses"]) if "buses" in d else None
+    _expect(d, dict, f"component entry in {network!r}")
+    cid = _expect(d["id"], str, f"component id in {network!r}")
+    for key in ("kind", "status", "from", "to"):
+        if key in d:
+            _expect(d[key], str, f"component {cid!r} {key}")
+    if "buses" in d:
+        for bus in _expect(d["buses"], list, f"component {cid!r} buses"):
+            _expect(bus, str, f"component {cid!r} bus")
     location = d["location"]
     if not (isinstance(location, (list, tuple)) and len(location) == 2 and all(map(_is_number, location))):
-        raise NetworkError(f"component {d['id']!r} location {location!r} is not a pair of numbers")
+        raise NetworkError(f"component {cid!r} location {location!r} is not a pair of numbers")
     return Component(
-        id=d["id"],
+        id=cid,
         network=network,
         kind=d["kind"],
         location=tuple(location),
-        attrs=dict(d.get("attrs", {})),
-        ends=ends,
-        buses=buses,
+        attrs=dict(_expect(d.get("attrs", {}), dict, f"component {cid!r} attrs")),
+        ends=(d["from"], d["to"]) if "from" in d else None,
+        buses=tuple(d["buses"]) if "buses" in d else None,
         status=d.get("status", STATUS_OPERATIONAL),
     )
 
@@ -495,29 +479,36 @@ def network_to_dict(net: IntegratedNetwork) -> dict:
 
 
 def network_from_dict(doc: dict) -> IntegratedNetwork:
-    if not isinstance(doc, dict):
-        raise NetworkError(f"network document is a {type(doc).__name__}, not an object")
+    _expect(doc, dict, "network document")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise NetworkError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     components: list[Component] = []
     for network in NETWORKS:
-        for d in doc.get(network, []):
+        for d in _expect(doc.get(network, []), list, f"{network!r} section"):
             try:
                 components.append(_component_from_dict(network, d))
             except KeyError as exc:
                 raise NetworkError(f"component entry in {network!r} missing field {exc}") from None
-    dependencies = [
-        Dependency(d["source"], d["target"], d["kind"]) for d in doc.get("dependencies", [])
-    ]
-    priorities = doc.get("zone_priority", {})
+    dependencies = []
+    for d in _expect(doc.get("dependencies", []), list, "dependencies"):
+        _expect(d, dict, "dependency entry")
+        try:
+            fields = [_expect(d[key], str, f"dependency {key}") for key in ("source", "target", "kind")]
+        except KeyError as exc:
+            raise NetworkError(f"dependency entry missing field {exc}") from None
+        dependencies.append(Dependency(*fields))
+    od_matrix = _expect(doc.get("od_matrix", {}), dict, "od_matrix")
+    for orig, row in od_matrix.items():
+        _expect(row, dict, f"od_matrix row {orig!r}")
+    priorities = _expect(doc.get("zone_priority", {}), dict, "zone_priority")
     for z, p in priorities.items():
         if not _is_number(p):
             raise NetworkError(f"zone {z!r} priority {p!r} is not a number")
     net = IntegratedNetwork(
         components,
         dependencies,
-        od_matrix=doc.get("od_matrix", {}),
+        od_matrix=od_matrix,
         zone_priority={z: int(p) for z, p in priorities.items()},
     )
     violations = validate_network(net)

@@ -3,8 +3,9 @@ every exported name exists, every private definition is referenced, every
 public definition has a caller outside the tests, every CLI option is
 read, the CLI's import path stays clear of slow modules, no package
 module imports the test-oracle module ``graphs``, every binding the
-benchmark's tracer wraps still exists, and the memo kinds the tests
-allow are the ones the package uses."""
+benchmark's tracer wraps still exists, the memo kinds the tests allow
+are the ones the package uses, and every kind the package asks a network
+for is one of that network's kinds."""
 
 import argparse
 import ast
@@ -16,7 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 import lifelinesim
-from lifelinesim import cli
+from lifelinesim import cli, network
 from test_resume import MEMO_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -134,6 +135,19 @@ def _memo_kinds() -> set[str]:
     return kinds
 
 
+def _components_of_literals() -> list[tuple[str, str, str]]:
+    """(module, network, kind) for every ``components_of(NETWORK, "kind")``
+    call in the package, the network named by a ``network`` constant."""
+    found = []
+    for path in sorted((ROOT / "src" / "lifelinesim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "components_of" and len(node.args) == 2):
+                net, kind = node.args
+                found.append((path.stem, getattr(network, net.id), ast.literal_eval(kind)))
+    return found
+
+
 def test_scan_covers_package_tests_and_demos():
     dirs = {p.parent.name for p in _scanned_files()}
     assert dirs == {"lifelinesim", "tests", "demos"}
@@ -211,3 +225,11 @@ def test_benchmark_tracer_finds_every_binding_it_wraps():
 def test_memo_kinds_match_the_package():
     # test_resume asserts that a run leaves only these kinds in the memo
     assert _memo_kinds() == MEMO_KINDS
+
+
+def test_components_of_kinds_exist():
+    # a misspelled kind, or one of another network, matches nothing and
+    # returns [] without a word
+    found = _components_of_literals()
+    assert found
+    assert [(m, n, k) for m, n, k in found if network.KINDS.get(k, ("",))[0] != n] == []

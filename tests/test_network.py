@@ -1,5 +1,6 @@
 """Network schema, validation rules, status transitions, and access lookups."""
 
+import copy
 import math
 from dataclasses import replace
 
@@ -9,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifelinesim.network import (
-    _NONNEGATIVE_ATTRS,
-    _POSITIVE_ATTRS,
-    _REQUIRED_ATTRS,
     Component,
     Dependency,
     IntegratedNetwork,
+    NetworkError,
     POWER,
     STATUS_FAILED,
     STATUS_OPERATIONAL,
@@ -33,6 +32,7 @@ from lifelinesim.network import (
     save_network,
     validate_network,
 )
+from lifelinesim.testbed import build_simple_testbed
 from lifelinesim.traffic import road_distances
 
 
@@ -177,8 +177,9 @@ def _with_attr(net, component_id, attr, value):
 
 
 class TestNumericAttrs:
-    # one attr named by each of the required, positive and non-negative
-    # tables, a tank level, and a demand node's optional elevation
+    # attrs of each rule in KINDS: positive, non-negative, any finite
+    # number (a tank level, a generator cost) and optional (a demand
+    # node's elevation)
     @pytest.mark.parametrize("component_id, attr", [
         ("W1", "base_demand"), ("W1", "elevation"), ("WP-W1-W2", "length"),
         ("WT1", "min_level"), ("PG1", "cost"), ("PLD1", "demand_mw"),
@@ -193,10 +194,57 @@ class TestNumericAttrs:
         assert validate_network(_with_attr(net, "W1", "elevation", 3)) == []
         assert validate_network(_with_attr(net, "WP-W1-W2", "length", 1000)) == []
 
-    def test_sign_checked_attrs_are_required(self):
-        # the numeric rule reads the required table alone for these
-        for table in (_POSITIVE_ATTRS, _NONNEGATIVE_ATTRS):
-            assert all(set(attrs) <= set(_REQUIRED_ATTRS[kind]) for kind, attrs in table.items())
+
+def _with_od(net, orig, dest, volume):
+    od = {o: dict(row) for o, row in net.od_matrix.items()}
+    od[orig][dest] = volume
+    return IntegratedNetwork(net.components, net.dependencies, od_matrix=od, zone_priority=net.zone_priority)
+
+
+class TestOdVolume:
+    @pytest.mark.parametrize("volume, message", [
+        (math.inf, "demand to T3 is inf, not a finite number"),
+        (math.nan, "demand to T3 is nan, not a finite number"),
+        ("12", "demand to T3 is '12', not a finite number"),
+        (-1.0, "negative demand to T3"),
+    ], ids=["inf", "nan", "string", "negative"])
+    def test_flagged_once(self, net, volume, message):
+        violations = validate_network(_with_od(net, "T1", "T3", volume))
+        assert [(v.component_id, v.rule, v.message) for v in violations] == [("T1", "od-volume", message)]
+
+
+def _paths(value, path=()):
+    """Every path into a JSON value, the empty path to the value itself."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+_DOC = network_to_dict(build_simple_testbed())
+_BAD_VALUES = st.one_of(
+    st.text(max_size=3),
+    st.sampled_from([[], ["B1"], {}, {"id": "X"}, None, True, False, math.nan, math.inf]),
+)
+
+
+class TestLoaderShapes:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(path=st.sampled_from(list(_paths(_DOC))), value=_BAD_VALUES)
+    def test_one_bad_value_loads_or_raises_network_error(self, path, value):
+        # the README promises one error line for any malformed document
+        doc = copy.deepcopy(_DOC)
+        if path:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            doc = value
+        try:
+            network_from_dict(doc)
+        except NetworkError:
+            pass
 
 
 _IDS = st.text("abcdefgh", min_size=1, max_size=3)
