@@ -515,40 +515,24 @@ class WaterSimulator:
             level = self.tank_level[tid] + inflow * dt / a["area"]
             self.tank_level[tid] = min(max(level, a["min_level"]), a["max_level"])
 
-    def is_stationary(self) -> bool:
-        """True when the last solution is current and levels cannot change.
-
-        A level that moved since the solve (including being clipped at a
-        tank bound by ``advance``) invalidates the cached solution, so
-        the simulator is not stationary until it re-solves.
-        """
-        if self._last_state is None or self._solved_levels is None:
-            return False
-        for tid in self._tanks:
-            if abs(self.tank_level[tid] - self._solved_levels[tid]) > 1e-12:
-                return False
-        for tid, tank in self._tanks.items():
-            inflow = self._last_state.tank_inflow[tid]
-            level = self.tank_level[tid]
-            a = tank.attrs
-            moving_up = inflow > 1e-9 and level < a["max_level"] - 1e-12
-            moving_down = inflow < -1e-9 and level > a["min_level"] + 1e-12
-            if moving_up or moving_down:
-                return False
-        return True
-
     def is_frozen(self) -> bool:
-        """True when ``advance`` is exactly the identity: stationary, every
-        tank's last inflow exactly zero and every level within its bounds.
-        Then no later solve or step changes anything until the statuses do.
+        """True when the last solve is still current and ``advance`` is the
+        identity for any step: every level equals its solved level, and
+        each tank's last inflow is exactly zero with its level within its
+        bounds, or pushes against the bound its level already sits at.
+        Then no later step or solve changes anything until the statuses
+        do. This one rule decides both when a stepper re-solves and when
+        it repeats its last state.
         """
-        if not self.is_stationary():
+        if self._last_state is None or self.tank_level != self._solved_levels:
             return False
         for tid, tank in self._tanks.items():
-            a = tank.attrs
-            if self._last_state.tank_inflow[tid] != 0.0:
-                return False
-            if not a["min_level"] <= self.tank_level[tid] <= a["max_level"]:
+            inflow, level, a = self._last_state.tank_inflow[tid], self.tank_level[tid], tank.attrs
+            if not (
+                inflow == 0.0 and a["min_level"] <= level <= a["max_level"]
+                or inflow > 0.0 and level == a["max_level"]
+                or inflow < 0.0 and level == a["min_level"]
+            ):
                 return False
         return True
 
@@ -609,11 +593,12 @@ def solve_hydraulics(
     duration/step + 1 states (the initial steady state included) with
     tank levels integrated between them.
 
-    Once the simulator is frozen (``WaterSimulator.is_frozen``), a step
-    and a solve would return the same state, so each later state is a
-    copy of the last one at its own time, with its own dicts and lists.
-    A repeated state keeps the ``residual`` and ``iterations`` of the
-    solve it copies.
+    Each step advances the levels and re-solves unless the simulator is
+    frozen (``WaterSimulator.is_frozen``, the one rule for both). Once it
+    is, a step and a solve would return the same state, so each later
+    state is a copy of the last one at its own time, with its own dicts
+    and lists. A repeated state keeps the ``residual`` and
+    ``iterations`` of the solve it copies.
     """
     if step <= 0 or duration < 0:
         raise ValueError("duration must be >= 0 and step > 0")

@@ -319,13 +319,17 @@ def validate_network(net: IntegratedNetwork) -> list[Violation]:
                 for end in c.ends:
                     if end not in node_ids[c.network]:
                         out.append(Violation(c.id, "edge-ends", f"end {end!r} is not a {c.network} node"))
-        elif role == "attached":
+        elif c.ends is not None:
+            out.append(Violation(c.id, "role-fields", f"a {c.kind} is no edge kind and takes no from/to"))
+        if role == "attached":
             if not c.buses:
                 out.append(Violation(c.id, "attachment-bus", "attached component lists no bus"))
             else:
                 for bus in c.buses:
                     if bus not in bus_ids:
                         out.append(Violation(c.id, "attachment-bus", f"bus {bus!r} does not exist"))
+        elif c.buses is not None:
+            out.append(Violation(c.id, "role-fields", f"a {c.kind} is no attached kind and takes no buses"))
 
     for d in net.dependencies:
         if d.kind not in DEPENDENCY_KINDS:
@@ -481,7 +485,7 @@ def network_to_dict(net: IntegratedNetwork) -> dict:
 def network_from_dict(doc: dict) -> IntegratedNetwork:
     _expect(doc, dict, "network document")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # True == 1.0 == 1
         raise NetworkError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     components: list[Component] = []
     for network in NETWORKS:

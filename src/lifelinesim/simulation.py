@@ -128,6 +128,8 @@ class EventTable:
                 continue
             if not math.isfinite(row.time):
                 problems.append(f"{row.component_id} {row.action} at non-finite time {row.time}")
+            elif row.time < 0.0:
+                problems.append(f"{row.component_id} {row.action} at negative time {row.time}")
             if row.action == ACTION_FAIL:
                 if row.component_id in fail_at:
                     problems.append(f"{row.component_id} fails twice")
@@ -424,7 +426,9 @@ class _Replay:
     Each interval [a, b) applies a's rows, dispatches power, forces the
     pumps of unpowered motors off and samples hydraulics every minute up
     to b. A solve that changes which generators have a dry source
-    dispatches again at once.
+    dispatches again at once. One rule, ``WaterSimulator.is_frozen``,
+    decides both each minute's re-solve and the jump: a minute re-solves
+    unless the simulator is frozen, and a frozen one repeats its row to b.
 
     Water samples are kept as runs, one per sampled solve and not one per
     minute: ``(t, k0, k1, row)`` holds ``row`` at time ``t`` (``None``
@@ -467,7 +471,7 @@ class _Replay:
 
         now = a
         while now < b - _TIME_TOL or a == b:
-            if not sim.is_stationary():  # set_statuses drops the last solution
+            if not sim.is_frozen():  # set_statuses drops the last solution
                 self._solve(now, a, b)
             t = now if a == b or _on_grid(now) else None
             if a == b:
@@ -549,8 +553,6 @@ def _run_series(net: IntegratedNetwork, table: EventTable, horizon: float, solve
     """
     by_time = _status_timeline(table)
     boundaries = sorted({0.0, horizon, *by_time})
-    if boundaries[-1] > horizon:
-        raise SimulationError(f"event at t={boundaries[-1]} beyond horizon {horizon}")
 
     replay = _Replay(net)
     if solves is not None:

@@ -44,6 +44,18 @@ class TestValidateAndTestbed:
         assert "GHOST" in out
         assert "INVALID" in out
 
+    def test_ends_on_a_node_kind_is_one_violation(self, tmp_path, capsys):
+        run_cli("make-testbed", "--out", str(tmp_path))
+        path = tmp_path / "simple_testbed.json"
+        doc = json.loads(path.read_text())
+        next(c for c in doc["water"] if c["id"] == "W1").update({"from": "W2", "to": "GHOST"})
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", "--network", str(path)) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "W1: a demand_node is no edge kind and takes no from/to",
+            "INVALID: 1 violation(s)",
+        ]
+
     def test_missing_file_is_stage_error(self, tmp_path):
         assert run_cli("validate", "--network", str(tmp_path / "nope.json")) == 1
 

@@ -202,19 +202,33 @@ class TestTankDynamics:
         sim = WaterSimulator(tank_net)
         state = sim.solve(0.0)
         assert state.tank_inflow["WT"] < -1e-9 and not sim.is_frozen()
-        # an inflow below the stationary threshold still moves the level
+        # however small, an inflow moves a level inside its bounds
         state.tank_inflow["WT"] = -1e-10
-        assert sim.is_stationary() and not sim.is_frozen()
+        assert not sim.is_frozen()
         state.tank_inflow["WT"] = 0.0
         assert sim.is_frozen()
         sim.advance(60.0)
         assert sim.tank_level == {"WT": 1.0} and sim.is_frozen()
+        # however little a level moved since its solve, the solve is stale
+        sim.tank_level["WT"] += 1e-13
+        assert not sim.is_frozen()
         # a level above its bound is clipped by the next step
         sim.tank_level["WT"] = 3.0
         sim.solve(0.0).tank_inflow["WT"] = 0.0
-        assert sim.is_stationary() and not sim.is_frozen()
+        assert not sim.is_frozen()
         sim.advance(60.0)
         assert sim.tank_level == {"WT": 2.0}
+        # an inflow against the bound a level sits at keeps it there; one
+        # away from that bound moves it
+        for level, push in ((2.0, 1e-10), (0.0, -1e-10)):
+            sim.tank_level["WT"] = level
+            state = sim.solve(0.0)
+            state.tank_inflow["WT"] = push
+            assert sim.is_frozen()
+            sim.advance(60.0)
+            assert sim.tank_level == {"WT": level} and sim.is_frozen()
+            state.tank_inflow["WT"] = -push
+            assert not sim.is_frozen()
 
     @pytest.mark.parametrize("case", ["testbed", "drain", "failed_pump"])
     def test_frozen_minutes_repeat_the_stepped_states(self, monkeypatch, net, tank_net, case):

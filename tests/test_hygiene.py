@@ -4,8 +4,9 @@ public definition has a caller outside the tests, every CLI option is
 read, the CLI's import path stays clear of slow modules, no package
 module imports the test-oracle module ``graphs``, every binding the
 benchmark's tracer wraps still exists, the memo kinds the tests allow
-are the ones the package uses, and every kind the package asks a network
-for is one of that network's kinds."""
+are the ones the package uses, every kind the package asks a network
+for is one of that network's kinds, and every kind of the schema is
+built by the testbed or a test."""
 
 import argparse
 import ast
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import lifelinesim
 from lifelinesim import cli, network
+from lifelinesim.testbed import build_simple_testbed
 from test_resume import MEMO_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -148,6 +150,23 @@ def _components_of_literals() -> list[tuple[str, str, str]]:
     return found
 
 
+def _kinds_built_in_tests() -> set[str]:
+    """Component kinds the tests build: the string-literal ``kind`` of a
+    ``Component(...)`` call, positional or keyword, or of a
+    ``replace(..., kind=...)``."""
+    kinds = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("Component", "replace")):
+                continue
+            given = [kw.value for kw in node.keywords if kw.arg == "kind"]
+            if node.func.id == "Component":
+                given += node.args[2:3]
+            kinds |= {a.value for a in given if isinstance(a, ast.Constant) and isinstance(a.value, str)}
+    return kinds
+
+
 def test_scan_covers_package_tests_and_demos():
     dirs = {p.parent.name for p in _scanned_files()}
     assert dirs == {"lifelinesim", "tests", "demos"}
@@ -233,3 +252,10 @@ def test_components_of_kinds_exist():
     found = _components_of_literals()
     assert found
     assert [(m, n, k) for m, n, k in found if network.KINDS.get(k, ("",))[0] != n] == []
+
+
+def test_every_schema_kind_is_built_somewhere():
+    # a kind that neither the testbed nor any test builds is a schema
+    # feature that nothing checks
+    built = {c.kind for c in build_simple_testbed().components} | _kinds_built_in_tests()
+    assert sorted(set(network.KINDS) - built) == []

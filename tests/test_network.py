@@ -106,6 +106,13 @@ class TestSerialization:
         save_network(written, str(tmp_path / "again.json"))
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None, 2])
+    def test_schema_version_must_be_the_int_one(self, net, version):
+        doc = network_to_dict(net)
+        doc["schema_version"] = version
+        with pytest.raises(NetworkError, match="unsupported schema_version"):
+            network_from_dict(doc)
+
 
 def _with_dependency(net, source, target, kind, extra=()):
     return IntegratedNetwork(
@@ -161,6 +168,18 @@ class TestValidation:
         ]
         violations = validate_network(IntegratedNetwork(comps, []))
         assert any("GONE" in v.message for v in violations)
+
+    @pytest.mark.parametrize("component_id, fields", [
+        ("W1", {"ends": ("W2", "GHOST")}),  # a node kind
+        ("PLD1", {"ends": ("B1", "B2")}),  # an attached kind
+        ("WP-W1-W2", {"buses": ("B1",)}),  # an edge kind
+        ("T1", {"buses": ()}),
+    ])
+    def test_fields_of_another_role_flagged(self, net, component_id, fields):
+        comps = [replace(c, **fields) if c.id == component_id else c for c in net.components]
+        stray = IntegratedNetwork(comps, net.dependencies, od_matrix=net.od_matrix, zone_priority=net.zone_priority)
+        violations = validate_network(stray)
+        assert [(v.component_id, v.rule) for v in violations] == [(component_id, "role-fields")]
 
     def test_duplicate_ids_flagged(self):
         comps = [

@@ -1,5 +1,7 @@
 """Dispatch oracles: load shedding under limits, islanding, motor status."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,29 @@ class TestIslandAudit:
         assert state.served["LD4"] == 0.0
         assert state.generation["G3"] == state.generation["G4"] == 0.0
         assert state.balance_residual < 1e-9
+
+
+# a switch in LN2's place, at a limit that binds
+_SW2 = Component("SW2", POWER, "switch", (0, 0), {"susceptance": 80.0, "limit_mw": 15.0}, ends=("B2", "B3"))
+
+
+def _ln2_as(net, branch):
+    """``net`` with its line LN2 replaced by ``branch``."""
+    return IntegratedNetwork([branch if c.id == "LN2" else c for c in net.components], [])
+
+
+class TestSwitch:
+    def test_carries_the_dispatch_of_an_equal_line(self, shed_net):
+        switch = solve_power(_ln2_as(shed_net, _SW2), {})
+        assert switch == solve_power(_ln2_as(shed_net, replace(_SW2, kind="line")), {})
+        assert switch.line_flow["SW2"] == pytest.approx(15.0, abs=1e-9)
+        assert switch.served["LD3"] == pytest.approx(15.0, abs=1e-9)
+
+    def test_out_of_service_sheds_the_load_it_alone_feeds(self, shed_net):
+        state = solve_power(_ln2_as(shed_net, _SW2), {"SW2": "failed"})
+        assert state.energized == {"B1": True, "B2": True, "B3": False}
+        assert state.served == {"LD2": pytest.approx(30.0, abs=1e-9), "LD3": 0.0}
+        assert state.line_flow["SW2"] == 0.0
 
 
 class TestTestbedDispatch:

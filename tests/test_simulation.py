@@ -351,8 +351,14 @@ class TestSimulate:
 
     def test_horizon_before_last_event_rejected(self, net):
         table = EventTable((EventRow(7200.0, "PL5", ACTION_FAIL),))
-        with pytest.raises(SimulationError, match="horizon"):
+        with pytest.raises(SimulationError, match="horizon 3600.0 precedes the last event at 7200.0"):
             simulate(net, table, horizon=3600.0)
+
+    @pytest.mark.parametrize("horizon", [-50.0, 3600.0, None])
+    def test_event_before_time_zero_rejected(self, net, horizon):
+        table = EventTable((EventRow(-100.0, "PL5", ACTION_FAIL),))
+        with pytest.raises(SimulationError, match="PL5 fail at negative time -100.0"):
+            simulate(net, table, horizon=horizon)
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan])
     @pytest.mark.parametrize("rows", [(), (EventRow(1800.0, "PL5", ACTION_FAIL),)])
@@ -519,7 +525,7 @@ class _MinuteReplay(simulation._Replay):
         step, tol = simulation.WATER_SAMPLE_STEP, simulation._TIME_TOL
         now = a
         while now < b - tol or a == b:
-            if not sim.is_stationary():  # set_statuses drops the last solution
+            if not sim.is_frozen():  # set_statuses drops the last solution
                 self._solve(now, a, b)
             if a == b or simulation._on_grid(now):
                 self.water_times.append(now)
