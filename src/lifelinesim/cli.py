@@ -257,8 +257,7 @@ def _batch_worker(payload: tuple) -> dict:
             "per_strategy": {},
         }
         # the strategies of one scenario share one replay store: a ledger
-        # an earlier strategy produced is not replayed, and the Newton
-        # solves their replays have in common run once
+        # an earlier strategy produced is not replayed
         store: dict = {}
         for strategy in strategies:
             result = run_scenario(net, scenario, strategy, mpc_horizon=mpc_horizon, store=store)

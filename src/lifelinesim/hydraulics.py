@@ -37,6 +37,7 @@ _HW_EXP = 1.852
 # bounded full step of the Newton line search (see ``WaterSimulator._newton``)
 _RELAXED_STEPS = 5
 _RELAXED_GROWTH = 100.0
+_NEWTON_TABLE_BYTES = 2 << 20  # bound of each network's ``_NewtonTable``
 
 
 class HydraulicError(Exception):
@@ -106,7 +107,7 @@ class HydraulicState:
     The last five fields are filled only by ``solve(full=True)``, as
     ``solve_hydraulics`` asks; the interdependent replay reads none of
     them and leaves them ``None``. ``residual`` and ``iterations`` are
-    those of the Newton run, also when a simulator's Newton table
+    those of the Newton run, also when the network's Newton table
     returned it for a repeated solve.
     """
 
@@ -323,17 +324,27 @@ class _System:
         return np.concatenate([-dhl, -(dd + 1e-12)])
 
 
+class _NewtonTable(dict):
+    """One network's Newton runs, oldest first, holding at most
+    ``_NEWTON_TABLE_BYTES`` of key byte strings and flow and head arrays."""
+
+    nbytes = 0
+
+    def add(self, key, solution) -> None:
+        self[key] = solution
+        self.nbytes += sum(map(len, key[1:])) + solution[0].nbytes + solution[1].nbytes
+        while self.nbytes > _NEWTON_TABLE_BYTES:
+            oldest = next(iter(self))
+            q, h, _, _ = self.pop(oldest)
+            self.nbytes -= sum(map(len, oldest[1:])) + q.nbytes + h.nbytes
+
+
 class WaterSimulator:
     """Stateful stepper holding tank levels and a warm-started solution.
 
     Each topology it meets is compiled once per network: the compiled
-    ``_System`` is kept in the network memo under ``system_key``.
-
-    ``solves`` is a Newton table: each Newton run, keyed on all that it
-    reads (the compiled system, the fixed heads and the start vectors).
-    A solve with the same inputs returns the stored result, read-only
-    arrays included, bit for bit. The replays of one replay store (see
-    ``simulation.simulate``) share one table.
+    ``_System`` is kept in the network memo under ``system_key``, and
+    each Newton run in the network's ``_NewtonTable``.
     """
 
     def __init__(
@@ -358,7 +369,6 @@ class WaterSimulator:
         self._warm_q: dict[str, float] = {}
         self._last_state: HydraulicState | None = None
         self._solved_levels: dict[str, float] | None = None
-        self.solves: dict[tuple, tuple] = {}
 
     # -- configuration ----------------------------------------------------
 
@@ -381,8 +391,8 @@ class WaterSimulator:
     # -- Newton solve ----------------------------------------------------
 
     def _solve_system(self, sys: _System, fixed: list[float]):
-        """``(q, h, norm, iters)`` of the Newton solve from the warm start,
-        run once per distinct input: a repeat returns the stored result."""
+        """``(q, h, norm, iters)`` of the Newton solve from the warm start;
+        a repeat the table still keeps returns the stored result."""
         nj, nl = len(sys.junction_ids), len(sys.link_ids)
         if nj == 0 and nl == 0:
             return np.zeros(0), np.zeros(0), 0.0, 0
@@ -392,13 +402,14 @@ class WaterSimulator:
         default_h = max(fixed, default=0.0) + 5.0
         h = np.array([self._warm_h.get(jid, default_h + z) for jid, z in zip(sys.junction_ids, sys.junction_z)])
         q = np.array([self._warm_q.get(rid, 0.01) for rid in sys.link_ids])
-        # ``_newton`` reads nothing but these, ``sys.params`` included
+        # ``_newton`` reads nothing but these, ``sys.params`` included: an evicted run reruns to the same bits
         key = (sys, heads[nj:].tobytes(), h.tobytes(), q.tobytes())
-        solution = self.solves.get(key)
+        table = self.net.cached(("newton_table",), _NewtonTable)
+        solution = table.get(key)
         if solution is None:
             solution = self._newton(sys, heads, q, h)
             solution[0].flags.writeable = solution[1].flags.writeable = False
-            self.solves[key] = solution
+            table.add(key, solution)
         return solution
 
     @staticmethod

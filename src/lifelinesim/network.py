@@ -507,14 +507,9 @@ def network_from_dict(doc: dict) -> IntegratedNetwork:
         _expect(row, dict, f"od_matrix row {orig!r}")
     priorities = _expect(doc.get("zone_priority", {}), dict, "zone_priority")
     for z, p in priorities.items():
-        if not _is_number(p):
-            raise NetworkError(f"zone {z!r} priority {p!r} is not a number")
-    net = IntegratedNetwork(
-        components,
-        dependencies,
-        od_matrix=od_matrix,
-        zone_priority={z: int(p) for z, p in priorities.items()},
-    )
+        if type(p) is not int:  # a bool is no priority, as with schema_version
+            raise NetworkError(f"zone {z!r} priority {p!r} is not an integer")
+    net = IntegratedNetwork(components, dependencies, od_matrix=od_matrix, zone_priority=priorities)
     violations = validate_network(net)
     if violations:
         raise NetworkValidationError(violations)

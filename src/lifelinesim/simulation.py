@@ -17,7 +17,7 @@ service, and a tank that runs dry forces its dependent generator off
 Callers that replay many ledgers on one network, such as the mpc
 evaluator or the strategies of a batch scenario, pass one replay store
 to ``simulate``: a ledger simulated before, to the same horizon, is not
-replayed, and each distinct Newton solve of the replays runs once.
+replayed.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ POST_RECOVERY_WINDOW = 24 * 3600.0
 BLOCKED_ROAD_FACTOR = 5.0  # failed-link slowdown when crews must cross anyway
 
 _TIME_TOL = 1e-9
-_NEWTON_SOLVES = "newton_solves"  # the replay store's key for its Newton table
 
 
 class SimulationError(Exception):
@@ -228,14 +227,15 @@ def build_event_table(
     (``crew_distances``). Crews become available at the disaster
     occurrence time.
 
-    When every crew is stuck: with a road crew present its next task is
-    forced to the nearest failed road link (free-flow metric, blocked
-    links passable at 5x); with no road crew, blocked links become
-    passable at 5x free-flow for routing so work can proceed.
+    When every crew is stuck: with road repairs pending the road crew's
+    next task is forced to the nearest failed road link (free-flow
+    metric, blocked links passable at 5x); with none, blocked links
+    become passable at 5x free-flow for routing so work can proceed.
 
     ``allow_partial`` permits an order covering only a subset of the
     failures (receding-horizon evaluation); unlisted components simply
-    stay failed.
+    stay failed. A network whose order lists components but that no
+    crew serves is rejected.
     """
     failed_by_network = _grouped_failures(net, scenario)
     for network, order in sorted(repair_order.items()):
@@ -268,10 +268,11 @@ def build_event_table(
         crew.busy_until = max(crew.busy_until, occurrence)
 
     pending: dict[str, list[str]] = {
-        network: list(order)
-        for network, order in sorted(repair_order.items())
-        if order and network in by_network
+        network: list(order) for network, order in sorted(repair_order.items()) if order
     }
+    for network, order in pending.items():
+        if network not in by_network:
+            raise SimulationError(f"no crew serves {network}, whose repair order lists {order}")
 
     statuses: dict[str, str] = {f.component_id: STATUS_FAILED for f in scenario.failures}
 
@@ -318,9 +319,9 @@ def build_event_table(
 
     def force_road_crew() -> bool:
         """Deadlock break: send the road crew to its nearest blocked link."""
-        road_crew = by_network.get(TRAFFIC)
-        if road_crew is None or TRAFFIC not in pending:
+        if TRAFFIC not in pending:
             return False
+        road_crew = by_network[TRAFFIC]
         apply_openings(road_crew.busy_until)
         dist = crew_distances(
             net, road_crew.location, statuses, congested=False, failed_factor=BLOCKED_ROAD_FACTOR
@@ -339,7 +340,7 @@ def build_event_table(
         return True
 
     while pending:
-        active = [by_network[n] for n in pending if n in by_network]
+        active = [by_network[n] for n in pending]
         crew = min(active, key=lambda c: (c.busy_until, c.id))
         apply_openings(crew.busy_until)
         found = first_accessible(crew)
@@ -544,19 +545,12 @@ class _Replay:
         self.water_row = [state.actual_demand[cid] for cid in self.water_ids]
 
 
-def _run_series(net: IntegratedNetwork, table: EventTable, horizon: float, solves: dict | None = None):
-    """Replay ``table`` to ``horizon``; returns raw sample arrays.
-
-    ``solves`` is a Newton table (see ``WaterSimulator``) for the replay
-    to read and fill, so that replays sharing it run each distinct
-    Newton solve once.
-    """
+def _run_series(net: IntegratedNetwork, table: EventTable, horizon: float):
+    """Replay ``table`` to ``horizon``; returns raw sample arrays."""
     by_time = _status_timeline(table)
     boundaries = sorted({0.0, horizon, *by_time})
 
     replay = _Replay(net)
-    if solves is not None:
-        replay.sim.solves = solves
     # each interval [a, b) is sampled up to but excluding b, which belongs
     # to the next one; the horizon closes the run as a zero-length interval
     # sampled once, on the grid or off it
@@ -631,15 +625,14 @@ def simulate(
 
     Work that depends only on the network is done once per network and
     shared by every later call on it: the undisrupted pass (kept to the
-    longest on-grid horizon seen, see ``_baseline_water``) and each
+    longest on-grid horizon seen, see ``_baseline_water``), each
     dispatch, keyed by the power components' in-service flags and the
-    forced-off generators. ``store`` is a replay store that the caller
-    owns and the network memo never holds; without one the call uses a
-    private one. It keeps the result of each (ledger rows, horizon)
-    simulated through it, which a repeat returns without replaying, and
-    one Newton table that every replay through it reads and fills, so
-    each distinct Newton solve runs once. A stored result is shared by
-    every repeat, so the series arrays of every result are read-only.
+    forced-off generators, and each Newton solve that the network's
+    Newton table keeps (see ``WaterSimulator``). ``store`` is the
+    caller's replay store, which the network memo never holds; without
+    one the call uses a private one. It keeps the result of each (ledger
+    rows, horizon) simulated through it, which a repeat returns without
+    replaying, so the series arrays of every result are read-only.
     """
     store = {} if store is None else store
     key = (table.rows, default_horizon(table) if horizon is None else horizon)
@@ -655,8 +648,7 @@ def simulate(
         )
     horizon = key[1]
 
-    solves = store.setdefault(_NEWTON_SOLVES, {})
-    water_ids, wt, ws, power_ids, pt, ps = _run_series(net, table, horizon, solves)
+    water_ids, wt, ws, power_ids, pt, ps = _run_series(net, table, horizon)
     base_ids, bwt, bws = _baseline_water(net, horizon)
     if base_ids != water_ids or not np.array_equal(bwt, wt):
         raise SimulationError("baseline and disrupted sample grids diverged")
@@ -713,8 +705,7 @@ def make_weighted_eoh_evaluator(
     orders are penalized for whatever they leave broken.
 
     Candidates share one replay store (see ``simulate``) that lives as
-    long as the evaluator: a ledger seen before is not replayed, and each
-    replay runs only the Newton solves that no earlier one ran. Pass
+    long as the evaluator, so a ledger seen before is not replayed. Pass
     ``store`` to keep it for a later ``simulate`` of the chosen order.
     """
     total_repair = sum(
@@ -749,9 +740,8 @@ def run_scenario(
     ``store`` is a replay store (see ``simulate``) that the caller shares
     between runs of one scenario, such as its strategies in a batch:
     a ledger an earlier run or mpc candidate simulated to the same
-    horizon is not replayed, and each distinct Newton solve runs once.
-    An mpc run without one uses a store of its own. An ``mpc_horizon``
-    below 1 is rejected before any planning work.
+    horizon is not replayed. An mpc run without one uses a store of its
+    own. An ``mpc_horizon`` below 1 is rejected before any planning work.
     """
     if strategy != "mpc" and strategy not in STRATEGIES:
         raise RecoveryError(

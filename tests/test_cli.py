@@ -77,6 +77,7 @@ class TestValidateAndTestbed:
         lambda doc: doc["water"][0].update(location=5.0),
         lambda doc: doc["traffic"][0].update(location=["0", "1"]),
         lambda doc: doc["zone_priority"].update(T1=None),
+        lambda doc: doc["zone_priority"].update(T1=2.7),
         lambda doc: doc.update(od_matrix=[]),
         lambda doc: doc["od_matrix"].update(T1=5),
         lambda doc: doc.update(dependencies="M1"),
@@ -88,6 +89,7 @@ class TestValidateAndTestbed:
         lambda doc: doc["water"][0].update(id=7),
         lambda doc: next(c for c in doc["power"] if "buses" in c).update(buses="B5"),
     ], ids=["top-level-list", "entry-not-object", "location-scalar", "location-strings", "null-priority",
+            "fractional-priority",
             "od-matrix-list", "od-row-not-object", "dependencies-string", "dependency-not-object",
             "section-not-list", "attrs-list", "zone-priority-list", "kind-list", "id-number", "buses-string"])
     def test_malformed_document_is_one_error_line(self, tmp_path, capsys, caplog, break_doc):

@@ -19,6 +19,8 @@ from lifelinesim.hydraulics import (
     solve_hydraulics,
 )
 from lifelinesim.network import Component, IntegratedNetwork, WATER
+from lifelinesim.testbed import build_simple_testbed
+from test_memo import _unmemoized
 
 # Independent solution of the triangle fixture (scipy.optimize.fsolve on
 # the two nodal balance equations; residual < 1e-16). Frozen here so a
@@ -579,13 +581,6 @@ class TestCompiledKernel:
         assert states[0] == states[1]
 
 
-class _Forgetful(dict):
-    """A Newton table that keeps nothing, so every solve runs Newton."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 def _replay_ledger(sim, ledger):
     """Solve and step one minute at a time through ``(statuses, minutes)``
     pairs; returns the full states."""
@@ -607,7 +602,7 @@ class TestNewtonTable:
     FAIL_PIPE = {"WP-W1-W2": "failed"}
     FAIL_BOTH = {"WP-W1-W2": "failed", "WP-W6-W9": "failed"}
 
-    def test_shared_table_equals_fresh_solves(self, monkeypatch, net):
+    def test_shared_table_equals_fresh_solves(self, monkeypatch):
         results: dict[WaterSimulator, list] = {}
         newton_runs = []
         solve_system, newton = WaterSimulator._solve_system, WaterSimulator._newton
@@ -620,13 +615,14 @@ class TestNewtonTable:
         monkeypatch.setattr(WaterSimulator, "_solve_system", recording)
         monkeypatch.setattr(WaterSimulator, "_newton", staticmethod(lambda *a: newton_runs.append(1) or newton(*a)))
 
+        net = build_simple_testbed()
         first = WaterSimulator(net)
         _replay_ledger(first, [({}, 2), (self.FAIL_PIPE, 8), (self.FAIL_BOTH, 4)])
         # the same failure three minutes later, from the same frozen
         # undisrupted state, then a second failure the first ledger lacks
         ledger = [({}, 5), (self.FAIL_PIPE, 6), ({**self.FAIL_PIPE, "WPU1": "failed"}, 4)]
-        shared, fresh = WaterSimulator(net), WaterSimulator(net)
-        shared.solves, fresh.solves = first.solves, _Forgetful()
+        # a network that keeps nothing gives each solve a fresh table
+        shared, fresh = WaterSimulator(net), WaterSimulator(_unmemoized())
         del newton_runs[:]
         got = _replay_ledger(shared, ledger)
         runs = len(newton_runs)
@@ -636,10 +632,11 @@ class TestNewtonTable:
         # second failure, new to the table, runs Newton
         assert len(results[shared]) - runs >= 11 and runs >= 1
 
-    def test_any_changed_input_misses(self, monkeypatch, net):
+    def test_any_changed_input_misses(self, monkeypatch):
         newton_runs = []
         newton = WaterSimulator._newton
         monkeypatch.setattr(WaterSimulator, "_newton", staticmethod(lambda *a: newton_runs.append(1) or newton(*a)))
+        net = build_simple_testbed()
         sim = WaterSimulator(net)
         sim.set_statuses(self.FAIL_PIPE)
         sys = sim._system(set())
@@ -666,7 +663,6 @@ class TestNewtonTable:
         # same arrays, start vectors and fixed heads; another topology
         other = WaterSimulator(net, HydraulicParams(pf=12.0))
         other.set_statuses(self.FAIL_PIPE)
-        other.solves = sim.solves
         other_sys = other._system(set())
         assert len(other_sys.link_ids) == len(sys.link_ids) and other_sys is not sys
         other._warm_h, other._warm_q = sim._warm_h, sim._warm_q
@@ -755,7 +751,7 @@ class TestBoundedFullStep:
 
     def test_tank_closure_resolves_are_short(self, monkeypatch, tmp_path):
         # the re-solves after a full tank closes run on systems with no
-        # open tank: 19 Newton runs here, of which three took 56 steps and
+        # open tank: 11 Newton runs here, of which three took 56 steps and
         # 323 residual evaluations under the Armijo test alone
         from lifelinesim import cli
 
@@ -765,7 +761,7 @@ class TestBoundedFullStep:
             "--intensity", "random", "--strategy", "max_flow,centrality,zone", "--jobs", "1",
             "--seed", "108", "--scenarios", "4", "--out", str(tmp_path),
         ]) == 0
-        assert len(runs) == 19
+        assert len(runs) == 11
         for rec, iters, _ in runs:
             assert iters <= 25 and rec.evaluations <= 60
             assert rec.relaxed_steps() <= hydraulics._RELAXED_STEPS
@@ -779,7 +775,8 @@ class TestBoundedFullStep:
     # unbounded by a return to the least residual, the full steps leave
     # this tank-closure re-solve stalling short of the tolerance
     @example(link_states=["ok"] * 9 + ["failed", "ok", "failed", "failed"], level=0.0)
-    def test_every_testbed_solve_converges(self, net, link_states, level):
+    def test_every_testbed_solve_converges(self, link_states, level):
+        net = build_simple_testbed()  # an example that hits the Newton table records no run
         tank = net.component("WT1").attrs
         assert (tank["min_level"], tank["max_level"]) == (0.0, 5.0)
         statuses = {lid: "failed" for lid, s in zip(WATER_LINKS, link_states) if s == "failed"}

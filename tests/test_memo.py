@@ -1,13 +1,14 @@
 """Work done once instead of every time gives the same runs: the
-per-network memo (runs on a reused network equal runs without a memo)
-and the jump over frozen water minutes."""
+per-network memo (runs on a reused network equal runs without a memo),
+the bound of its Newton table and the jump over frozen water minutes."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lifelinesim import recovery, simulation
+from lifelinesim import cli, hydraulics, recovery, simulation
 from lifelinesim.hazard import ComponentFailure, DisasterScenario, HazardEvent
 from lifelinesim.hydraulics import WaterSimulator
 from lifelinesim.network import IN_SERVICE, POWER, IntegratedNetwork
@@ -191,3 +192,46 @@ def test_jumping_frozen_minutes_matches_stepping_them(monkeypatch, failures, str
     assert any(seen)
     monkeypatch.setattr(WaterSimulator, "is_frozen", lambda sim: False)
     _assert_same_result(run_scenario(build_simple_testbed(), scenario, strategy), jumped)
+
+
+def _batch(make_net):
+    """The records of a testbed batch whose scenarios run on ``make_net()``."""
+    event = HazardEvent(kind="random", intensity="extreme", count=4)
+    strategies = ["max_flow", "centrality", "zone", "mpc"]
+    # 2 to 4 failures each; centrality's order differs from the others' at 105
+    seeds = (100, 101, 105, 107)
+    return [cli._batch_worker((make_net(), k, seed, strategies, event, 1.0, 2)) for k, seed in enumerate(seeds)]
+
+
+def _entry_bytes(table) -> list[int]:
+    return [len(k[1]) + len(k[2]) + len(k[3]) + s[0].nbytes + s[1].nbytes for k, s in table.items()]
+
+
+def test_newton_table_never_exceeds_its_bound(monkeypatch):
+    monkeypatch.setattr(hydraulics, "_NEWTON_TABLE_BYTES", 20_000)
+    added, add = [], hydraulics._NewtonTable.add
+
+    def checked(table, key, solution):
+        add(table, key, solution)
+        added.append(key)
+        assert table.nbytes == sum(_entry_bytes(table)) <= hydraulics._NEWTON_TABLE_BYTES
+
+    monkeypatch.setattr(hydraulics._NewtonTable, "add", checked)
+    net = build_simple_testbed()
+    records = _batch(lambda: net)
+    assert all("error" not in r for r in records)
+    assert 0 < len(net._memo[("newton_table",)]) < len(added)  # it evicted
+
+
+def test_bounded_newton_table_changes_no_batch_output(monkeypatch):
+    monkeypatch.setattr(hydraulics, "_NEWTON_TABLE_BYTES", math.inf)
+    net = build_simple_testbed()
+    unbounded = _batch(lambda: net)
+    table = net._memo[("newton_table",)]
+    # a bound of a few entries evicts almost every one of them
+    monkeypatch.setattr(hydraulics, "_NEWTON_TABLE_BYTES", 3 * max(_entry_bytes(table)))
+    net = build_simple_testbed()
+    bounded = _batch(lambda: net)
+    assert len(net._memo[("newton_table",)]) <= 3 < len(table)
+    assert all("error" not in r for r in unbounded)
+    assert bounded == unbounded == _batch(_unmemoized)

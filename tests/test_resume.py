@@ -1,10 +1,10 @@
 """An mpc run simulates its candidates and its final order through one
 replay store, and the strategies of a batch scenario share one; each
 result equals a fresh replay, a repeated ledger returns the stored
-result, the replays share their Newton solves, and the store and its
-Newton table die with the run or the scenario. (Stores shared across
-horizons and the dry-tank coupling are tested in
-``test_simulation.py``.)"""
+result, and the store's results die with the run or the scenario. The
+replays share their Newton solves through the network's Newton table,
+which keeps them within its bound. (Stores shared across horizons and
+the dry-tank coupling are tested in ``test_simulation.py``.)"""
 
 import gc
 import weakref
@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from lifelinesim import cli, simulation
+from lifelinesim import cli, hydraulics, simulation
 from lifelinesim.hazard import HazardEvent, sample_scenario
 from lifelinesim.hydraulics import WaterSimulator
 from lifelinesim.simulation import EventTable, run_scenario
@@ -21,8 +21,8 @@ from lifelinesim.testbed import build_simple_testbed
 # the first element of every network memo key; test_hygiene checks that
 # this is exactly the set of kinds the package passes to ``cached``
 MEMO_KINDS = {
-    "water_system", "baseline_water", "dispatch", "link_times", "peak_flow", "betweenness", "road_graph",
-    "access_node", "crew_distances",
+    "water_system", "newton_table", "baseline_water", "dispatch", "link_times", "peak_flow", "betweenness",
+    "road_graph", "access_node", "crew_distances",
 }
 
 
@@ -42,8 +42,8 @@ def _assert_same_replay(got, want):
 
 
 def _newton_results(monkeypatch):
-    """Weak references to the flows of every Newton run, which the Newton
-    table of a replay store or of a simulator holds."""
+    """Weak references to the flows of every Newton run, which the
+    network's Newton table holds."""
     refs = []
     newton = WaterSimulator._newton
 
@@ -56,9 +56,17 @@ def _newton_results(monkeypatch):
     return refs
 
 
-def _assert_nothing_kept(net, refs):
+def _assert_only_newton_results_kept(net, calls, refs):
+    """Once ``calls`` drops the results of a run's replay store, they die
+    with the store; the run's Newton results stay in the network's Newton
+    table, within its bound (which a run this small does not reach)."""
+    results = [weakref.ref(result) for *_, result in calls]
+    del calls[:]
     gc.collect()
-    assert refs and all(ref() is None for ref in refs)  # no table outlives its store
+    assert results and all(ref() is None for ref in results)
+    table = net._memo[("newton_table",)]
+    assert refs and {id(ref()) for ref in refs} == {id(q) for q, _, _, _ in table.values()}
+    assert table.nbytes <= hydraulics._NEWTON_TABLE_BYTES
     assert {key[0] for key in net._memo} <= MEMO_KINDS
 
 
@@ -107,15 +115,16 @@ def test_mpc_choices_do_not_depend_on_the_store(monkeypatch):
 
 def test_no_snapshot_outlives_the_run(monkeypatch):
     net = build_simple_testbed()
+    calls, _ = _recording_simulate(monkeypatch)
     refs = _newton_results(monkeypatch)
     run_scenario(net, _mpc_scenario(net, 2), "mpc")
-    _assert_nothing_kept(net, refs)
+    _assert_only_newton_results_kept(net, calls, refs)
 
 
 def test_mpc_candidates_share_newton_solves(monkeypatch):
-    # a replay store keeps each distinct Newton solve: candidates that
-    # differ only in rows the water state ignores, and time-shifted
-    # copies of one water trajectory, run none again
+    # the network's Newton table keeps each distinct Newton solve:
+    # candidates that differ only in rows the water state ignores, and
+    # time-shifted copies of one water trajectory, run none again
     calls = []
     solve_system = WaterSimulator._solve_system
     monkeypatch.setattr(WaterSimulator, "_solve_system", lambda sim, *a: calls.append(1) or solve_system(sim, *a))
@@ -147,7 +156,8 @@ def test_batch_strategies_share_one_store(monkeypatch, seed):
 def test_mpc_after_a_heuristic_resumes_from_its_replay(monkeypatch):
     net, alone = build_simple_testbed(), build_simple_testbed()
     scenario = _mpc_scenario(net, 1)
-    run_scenario(alone, scenario, "max_flow")  # the same network memos, no shared store
+    run_scenario(alone, scenario, "max_flow")
+    del alone._memo[("newton_table",)]  # the same network memos but Newton's, no shared store
     calls, real = _recording_simulate(monkeypatch)
     store: dict = {}
     run_scenario(net, scenario, "max_flow", store=store)
@@ -170,8 +180,7 @@ def test_a_batch_scenario_shares_one_store_that_dies_with_it(monkeypatch):
     record = cli._batch_worker((net, 0, 2, ["max_flow", "zone", "mpc"], event, 1.0, 2))
     assert "error" not in record
     assert len({id(store) for *_, store, _ in calls}) == 1 and calls[0][2] is not None
-    del calls[:]  # the recorded results hold the stores
-    _assert_nothing_kept(net, refs)
+    _assert_only_newton_results_kept(net, calls, refs)
 
 
 @pytest.mark.parametrize("horizon", ["default", "last_event", "off_grid"])

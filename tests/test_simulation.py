@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from lifelinesim import simulation
-from lifelinesim.hazard import ComponentFailure, DisasterScenario, HazardEvent
+from lifelinesim.hazard import ComponentFailure, DisasterScenario, HazardEvent, sample_scenario
 from lifelinesim.metrics import pcs_curve
 from lifelinesim.network import POWER, TRAFFIC, WATER, Component, Dependency, IntegratedNetwork
-from lifelinesim.recovery import Crew, RecoveryError
+from lifelinesim.recovery import Crew, RecoveryError, default_crews
 from lifelinesim.simulation import (
     ACTION_FAIL,
     ACTION_REPAIR_END,
@@ -298,6 +298,18 @@ class TestScheduling:
         with pytest.raises(SimulationError, match="one crew per network"):
             build_event_table(corridor_net, _scenario([("PW", "leak")]), {WATER: ["PW"]},
                               crews=crews)
+
+    def test_network_without_a_crew_rejected(self, net, blockage_net):
+        crews = [c for c in default_crews(net) if c.network != WATER]
+        scenario = sample_scenario(net, HazardEvent(kind="random", intensity="extreme", count=3), seed=1)
+        with pytest.raises(SimulationError, match=r"no crew serves water, whose repair order lists \['WP-W2-W3'\]"):
+            run_scenario(net, scenario, "max_flow", crews=crews)
+        # an order that lists nothing needs no crew
+        scenario = _scenario([("PW", "leak"), ("RL-Z2-Z3", "full")])
+        road_crew = [Crew(id="traffic-crew-1", network=TRAFFIC, location="Z1")]
+        table = build_event_table(blockage_net, scenario, {WATER: [], TRAFFIC: ["RL-Z2-Z3"]},
+                                  crews=road_crew, allow_partial=True)
+        assert {r.component_id for r in table.of_action(ACTION_REPAIR_START)} == {"RL-Z2-Z3"}
 
     def test_allow_partial_skips_rest(self, blockage_net):
         scenario = _scenario([("PW", "leak"), ("RL-Z2-Z3", "full")])
