@@ -46,10 +46,7 @@ def main():
 
     evaluate = make_weighted_eoh_evaluator(net, scenario, crews=crews)
     completion = rank_components(net, failed, "max_flow", context)
-    mpc_order = mpc_sequence(
-        {k: list(v) for k, v in completion.items()}, horizon=2,
-        evaluate=evaluate, completion=completion,
-    )
+    mpc_order = mpc_sequence(completion, horizon=2, evaluate=evaluate)
     print(f"{'mpc k=2':>14}: {mpc_order}")
 
     print("\n=== outage hours by strategy (same fixed horizon) ===")

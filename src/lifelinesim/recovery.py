@@ -3,9 +3,11 @@
 Four heuristics order the failed components of each network: by peak
 pre-disaster flow, by edge betweenness on the network's own graph, by
 congested travel time from the crew's start, or by land-use zone
-priority. The alternative is a receding-horizon optimizer that
-enumerates candidate orderings, simulates each through the full
-pipeline, and commits one repair at a time.
+priority. The alternative is a receding-horizon optimizer, a rollout
+of the max_flow order: it enumerates orderings of each network's next
+repairs, completes each with the rest of its current plan, simulates
+each complete plan through the full pipeline, and commits one repair
+at a time. It never scores above the order it starts from.
 """
 
 from __future__ import annotations
@@ -291,35 +293,39 @@ def rank_components(
 
 
 def mpc_sequence(
-    failed_by_network: dict[str, list[str]],
+    base: dict[str, list[str]],
     horizon: int,
     evaluate: Callable[[dict[str, list[str]]], float],
-    completion: dict[str, list[str]] | None = None,
 ) -> dict[str, list[str]]:
-    """Commit one repair at a time by enumerating k-step orderings.
+    """Roll out the ``base`` orders, committing one repair at a time.
 
-    Each iteration enumerates every length-``horizon`` ordering of one
-    network's remaining components, scores each candidate with
-    ``evaluate`` (a weighted-outage-hours evaluator over the full
-    simulation pipeline; lower is better), and commits only the first
-    element of the best ordering. Networks take turns committing so
-    multi-network scenarios are handled by coordinate descent: while one
-    network's ordering is being optimized, the others follow their
-    committed repairs plus the ``completion`` order (peak-flow ranking
-    by convention) for the remainder.
+    The search keeps one complete repair order per network, its plan,
+    starting from ``base`` (the max_flow ranking, by convention). In
+    round ``step`` each network with more than one component left after
+    its committed prefix ``plan[network][:step]`` tries every
+    length-``horizon`` ordering of those components as its next repairs,
+    followed by the rest of its plan in plan order. Each candidate is
+    the whole plan with that network's order replaced, scored with
+    ``evaluate`` (weighted outage hours over the full simulation
+    pipeline; lower is better). The best becomes the network's plan,
+    which commits its next repair; ties keep the first candidate in
+    sorted enumeration order. A network with one component left commits
+    it unscored, since no other choice exists.
 
-    The candidate passed to ``evaluate`` maps network -> repair order;
-    the optimized network's order may cover only the horizon, leaving
-    later repairs unscheduled within that evaluation. A network with one
-    component left commits it unscored, since no other choice exists.
+    This is a rollout of the base heuristic (Bertsekas, Tsitsiklis & Wu,
+    "Rollout algorithms for combinatorial optimization", J. Heuristics
+    3(3), 1997). The current plan is always one of a step's candidates,
+    and the first step's plan is ``base`` itself. So each step's best
+    value is at most the last step's, and the returned plan scores at
+    most ``evaluate(base)``, at any ``horizon``. The bound holds at the
+    evaluator's own fixed horizon, not at a final run's
+    ``default_horizon``.
     """
     if horizon < 1:
         raise RecoveryError("prediction horizon must be >= 1")
-    remaining = {k: sorted(v) for k, v in failed_by_network.items() if v}
-    committed: dict[str, list[str]] = {k: [] for k in remaining}
-    completion = completion or {k: sorted(v) for k, v in remaining.items()}
+    plan = {network: list(order) for network, order in base.items()}
 
-    for network, ids in remaining.items():
+    for network, ids in plan.items():
         count = math.perm(len(ids), min(horizon, len(ids)))
         if count > MPC_CANDIDATE_LIMIT:
             raise RecoveryError(
@@ -328,27 +334,16 @@ def mpc_sequence(
                 "zone) for disruptions this large"
             )
 
-    while any(remaining.values()):
-        for network in sorted(remaining):
-            if not remaining[network]:
+    for step in range(max(map(len, plan.values()), default=0)):
+        for network in sorted(plan):
+            left = plan[network][step:]
+            if len(left) < 2:  # nothing left, or forced: nothing to compare
                 continue
-            if len(remaining[network]) == 1:  # forced: nothing to compare
-                committed[network].append(remaining[network].pop())
-                continue
-            k_eff = min(horizon, len(remaining[network]))
             best_value: float | None = None
-            best_first: str | None = None
-            for candidate in permutations(remaining[network], k_eff):
-                order: dict[str, list[str]] = {}
-                for other in remaining:
-                    if other == network:
-                        order[other] = committed[other] + list(candidate)
-                    else:
-                        rest = [c for c in completion[other] if c in set(remaining[other])]
-                        order[other] = committed[other] + rest
-                value = evaluate(order)
+            for candidate in permutations(sorted(left), min(horizon, len(left))):
+                order = plan[network][:step] + list(candidate) + [c for c in left if c not in candidate]
+                value = evaluate({**plan, network: order})
                 if best_value is None or value < best_value:
-                    best_value, best_first = value, candidate[0]
-            committed[network].append(best_first)
-            remaining[network].remove(best_first)
-    return committed
+                    best_value, best_order = value, order
+            plan[network] = best_order
+    return plan

@@ -66,7 +66,7 @@ _ACTION_RANK = {ACTION_FAIL: 0, ACTION_REPAIR_START: 1, ACTION_REPAIR_END: 2}
 
 WATER_SAMPLE_STEP = 60.0
 POST_RECOVERY_WINDOW = 24 * 3600.0
-BLOCKED_ROAD_FACTOR = 5.0  # failed-link slowdown when crews must cross anyway
+BLOCKED_ROAD_FACTOR = 5.0  # failed-link slowdown when the road crew must cross anyway
 
 _TIME_TOL = 1e-9
 
@@ -214,7 +214,6 @@ def build_event_table(
     repair_order: dict[str, list[str]],
     crews: list[Crew] | None = None,
     durations: dict[str, float] | None = None,
-    allow_partial: bool = False,
 ) -> EventTable:
     """Schedule repairs around road access, one component at a time.
 
@@ -227,26 +226,26 @@ def build_event_table(
     (``crew_distances``). Crews become available at the disaster
     occurrence time.
 
-    When every crew is stuck: with road repairs pending the road crew's
+    When every crew is stuck with road repairs pending, the road crew's
     next task is forced to the nearest failed road link (free-flow
-    metric, blocked links passable at 5x); with none, blocked links
-    become passable at 5x free-flow for routing so work can proceed.
+    metric, blocked links passable at 5x). A crew that cannot reach its
+    work even after every road repair is an error.
 
-    ``allow_partial`` permits an order covering only a subset of the
-    failures (receding-horizon evaluation); unlisted components simply
-    stay failed. A network whose order lists components but that no
-    crew serves is rejected.
+    The order of each network must list every failed component of that
+    network exactly once, and a network with failures that the order
+    leaves out is rejected. A network whose order lists components but
+    that no crew serves is rejected.
     """
     failed_by_network = _grouped_failures(net, scenario)
-    for network, order in sorted(repair_order.items()):
+    for network in sorted(failed_by_network.keys() | repair_order.keys()):
         have = set(failed_by_network.get(network, ()))
-        listed = list(order)
+        listed = list(repair_order.get(network, []))
         if len(set(listed)) != len(listed):
             raise SimulationError(f"repair order for {network} lists a component twice")
         if not set(listed) <= have:
             extra = sorted(set(listed) - have)
             raise SimulationError(f"repair order for {network} lists non-failed components {extra}")
-        if not allow_partial and set(listed) != have:
+        if set(listed) != have:
             missing = sorted(have - set(listed))
             raise SimulationError(f"repair order for {network} misses failed components {missing}")
 
@@ -294,8 +293,8 @@ def build_event_table(
             statuses[link_id] = STATUS_REPAIRED
             solve_roads()
 
-    def first_accessible(crew: Crew, factor: float | None = None) -> tuple[str, float] | None:
-        dist = crew_distances(net, crew.location, statuses, failed_factor=factor)
+    def first_accessible(crew: Crew) -> tuple[str, float] | None:
+        dist = crew_distances(net, crew.location, statuses)
         for cid in pending[crew.network]:
             travel = dist[access_node(net, cid)]
             if math.isfinite(travel):
@@ -351,16 +350,11 @@ def build_event_table(
         if upcoming:
             crew.busy_until = upcoming[0]  # wait for the next road to open
             continue
-        if force_road_crew():
-            continue
-        # no road crew can help: cross blocked links at the slowdown factor
-        found = first_accessible(crew, factor=BLOCKED_ROAD_FACTOR)
-        if found is None:
+        if not force_road_crew():
             raise SimulationError(
                 f"crew {crew.id} at {crew.location} cannot reach any of "
-                f"{pending[crew.network]} even over blocked roads"
+                f"{pending[crew.network]} even after every road repair"
             )
-        book(crew, *found)
 
     return EventTable(tuple(rows))
 
@@ -700,9 +694,9 @@ def make_weighted_eoh_evaluator(
 ) -> Callable[[dict[str, list[str]]], float]:
     """Score candidate repair orders by simulated weighted outage hours.
 
-    Every candidate is simulated to the same fixed horizon (enough for
-    all repairs plus a day of recovery) so that partially scheduled
-    orders are penalized for whatever they leave broken.
+    Every candidate is a complete order, simulated to the same fixed
+    horizon (enough for all repairs plus a day of recovery) so that
+    candidates compare at one horizon.
 
     Candidates share one replay store (see ``simulate``) that lives as
     long as the evaluator, so a ledger seen before is not replayed. Pass
@@ -716,7 +710,7 @@ def make_weighted_eoh_evaluator(
     store = {} if store is None else store
 
     def evaluate(order: dict[str, list[str]]) -> float:
-        table = build_event_table(net, scenario, order, crews=crews, allow_partial=True)
+        table = build_event_table(net, scenario, order, crews=crews)
         return simulate(net, table, horizon, store).weighted_eoh()
 
     return evaluate
@@ -733,9 +727,10 @@ def run_scenario(
 ) -> SimulationResult:
     """Rank repairs, schedule crews, and simulate one disaster scenario.
 
-    ``strategy`` is one of the ranking heuristics or ``"mpc"``, which
-    searches ``mpc_horizon``-step repair prefixes by simulated weighted
-    outage hours (completing each candidate with the max_flow order).
+    ``strategy`` is one of the ranking heuristics or ``"mpc"``, a
+    rollout of the max_flow order (see ``mpc_sequence``) that searches
+    ``mpc_horizon``-step repair prefixes by simulated weighted outage
+    hours and never scores above max_flow at the evaluator's horizon.
 
     ``store`` is a replay store (see ``simulate``) that the caller shares
     between runs of one scenario, such as its strategies in a batch:
@@ -757,18 +752,11 @@ def run_scenario(
     if crews is None:
         crews = default_crews(net)
     context = build_planning_context(net, crews, failed)
+    order = rank_components(net, failed, "max_flow" if strategy == "mpc" else strategy, context)
     if strategy == "mpc":
-        completion = rank_components(net, failed, "max_flow", context)
         store = {} if store is None else store
         evaluate = make_weighted_eoh_evaluator(net, scenario, crews=crews, store=store)
-        order = mpc_sequence(
-            {k: list(v) for k, v in completion.items()},
-            mpc_horizon,
-            evaluate,
-            completion=completion,
-        )
-    else:
-        order = rank_components(net, failed, strategy, context)
+        order = mpc_sequence(order, mpc_horizon, evaluate)
 
     table = build_event_table(net, scenario, order, crews=crews)
     return simulate(net, table, horizon=horizon, store=store)

@@ -241,15 +241,23 @@ class TestMpcSequence:
         assert result == target
 
     def test_greedy_horizon_one(self):
-        # cost favors committing 'c' first, then 'a', then 'b'
-        rank = {"c": 0, "a": 1, "b": 2}
+        # complete orders score best with 'c' first, then 'a', then 'b'
+        rank = {"c": 2, "a": 1, "b": 0}
+        calls = []
 
         def evaluate(order):
-            seq = order.get("water", [])
-            return sum((i + 1) * rank[c] for i, c in enumerate(seq))
+            calls.append(tuple(order["water"]))
+            return sum((i + 1) * rank[c] for i, c in enumerate(order["water"]))
 
         result = mpc_sequence({"water": ["a", "b", "c"]}, 1, evaluate)
         assert result == {"water": ["c", "a", "b"]}
+        # each candidate's next repair is followed by the rest of the
+        # current plan, in plan order; the second step starts from the
+        # first step's best plan, which is its first candidate again
+        assert calls == [
+            ("a", "b", "c"), ("b", "a", "c"), ("c", "a", "b"),
+            ("c", "a", "b"), ("c", "b", "a"),
+        ]
 
     def test_tie_keeps_lexicographically_first(self):
         calls = []
@@ -276,24 +284,22 @@ class TestMpcSequence:
             mpc_sequence({"water": ids}, 5, lambda order: 0.0)  # P(9,5) = 15120
 
     def test_multi_network_coordinate_descent(self):
-        # verify other networks follow the completion order during search
+        # while one network is searched, every other follows its own last
+        # best plan: power's new plan as soon as power has been searched
         seen = []
 
         def evaluate(order):
             seen.append({k: tuple(v) for k, v in order.items()})
-            return sum(i * ord(c[-1]) for k in order for i, c in enumerate(order[k]))
+            return sum(i * int(c[-1]) for k in order for i, c in enumerate(order[k]))
 
-        result = mpc_sequence(
-            {"water": ["w1", "w2"], "power": ["p1"]},
-            1,
-            evaluate,
-            completion={"water": ["w2", "w1"], "power": ["p1"]},
-        )
-        assert sorted(result["water"]) == ["w1", "w2"]
-        assert result["power"] == ["p1"]
-        # during water's first commit, power must appear in completion order
-        water_first = [s for s in seen if len(s["water"]) == 1 and s["power"] == ("p1",)]
-        assert water_first
+        result = mpc_sequence({"water": ["w1", "w2"], "power": ["p1", "p2"]}, 1, evaluate)
+        assert result == {"water": ["w2", "w1"], "power": ["p2", "p1"]}
+        assert seen == [
+            {"water": ("w1", "w2"), "power": ("p1", "p2")},
+            {"water": ("w1", "w2"), "power": ("p2", "p1")},
+            {"water": ("w1", "w2"), "power": ("p2", "p1")},
+            {"water": ("w2", "w1"), "power": ("p2", "p1")},
+        ]
 
     def test_forced_choices_are_not_scored(self):
         calls = []
@@ -306,8 +312,9 @@ class TestMpcSequence:
         # P(3, 2) candidates, then P(2, 2); power's only component and
         # water's last one are committed unscored
         assert len(calls) == 6 + 2
-        # the order scoring those two as well commits
-        assert result == {"water": ["w2", "w3", "w1"], "power": ["p1"]}
+        # every candidate is a complete order
+        assert all(sorted(c["water"]) == ["w1", "w2", "w3"] and c["power"] == ("p1",) for c in calls)
+        assert result == {"water": ["w3", "w2", "w1"], "power": ["p1"]}
 
     def test_one_failure_per_network_is_never_scored(self, monkeypatch):
         def refuse(order):

@@ -305,18 +305,39 @@ class TestScheduling:
         with pytest.raises(SimulationError, match=r"no crew serves water, whose repair order lists \['WP-W2-W3'\]"):
             run_scenario(net, scenario, "max_flow", crews=crews)
         # an order that lists nothing needs no crew
-        scenario = _scenario([("PW", "leak"), ("RL-Z2-Z3", "full")])
+        scenario = _scenario([("RL-Z2-Z3", "full")])
         road_crew = [Crew(id="traffic-crew-1", network=TRAFFIC, location="Z1")]
         table = build_event_table(blockage_net, scenario, {WATER: [], TRAFFIC: ["RL-Z2-Z3"]},
-                                  crews=road_crew, allow_partial=True)
+                                  crews=road_crew)
         assert {r.component_id for r in table.of_action(ACTION_REPAIR_START)} == {"RL-Z2-Z3"}
 
-    def test_allow_partial_skips_rest(self, blockage_net):
+    def test_order_omitting_a_failed_network_rejected(self, net, blockage_net):
+        scenario = sample_scenario(net, HazardEvent(kind="random", intensity="extreme", count=6), seed=1)
+        with pytest.raises(SimulationError, match=r"repair order for power misses failed components \['PL2'\]"):
+            build_event_table(net, scenario, {WATER: ["WP-W1-W2", "WP-W6-W9"]})
         scenario = _scenario([("PW", "leak"), ("RL-Z2-Z3", "full")])
-        table = build_event_table(blockage_net, scenario,
-                                  {TRAFFIC: ["RL-Z2-Z3"]}, allow_partial=True)
-        assert {r.component_id for r in table.of_action(ACTION_REPAIR_START)} == {"RL-Z2-Z3"}
-        assert len(table.of_action(ACTION_FAIL)) == 2
+        with pytest.raises(SimulationError, match=r"repair order for water misses failed components \['PW'\]"):
+            build_event_table(blockage_net, scenario, {TRAFFIC: ["RL-Z2-Z3"]})
+
+    def test_work_out_of_reach_after_every_road_repair_rejected(self):
+        # a one-way road leads from Z1, where the pipe is, to Z2, where
+        # the crew is: no road repair can bring the crew back
+        comps = [
+            Component("Z1", TRAFFIC, "zone_node", (0.0, 0.0)),
+            Component("Z2", TRAFFIC, "zone_node", (1000.0, 0.0)),
+            Component("RL-Z1-Z2", TRAFFIC, "road_link", (0, 0),
+                      {"free_flow_time": 60.0, "capacity": 1e9}, ends=("Z1", "Z2")),
+            Component("WRX", WATER, "reservoir", (-10.0, 20.0), {"head": 15.0}),
+            Component("JX", WATER, "demand_node", (10.0, 20.0),
+                      {"base_demand": 0.01, "elevation": 0.0}),
+            Component("PW", WATER, "pipe", (0, 0),
+                      {"length": 100.0, "diameter": 0.2, "roughness": 120.0}, ends=("WRX", "JX")),
+        ]
+        one_way = IntegratedNetwork(comps, [], od_matrix={})
+        crews = [Crew(id="water-crew-1", network=WATER, location="Z2")]
+        with pytest.raises(SimulationError, match=r"crew water-crew-1 at Z2 cannot reach any of "
+                                                  r"\['PW'\] even after every road repair"):
+            build_event_table(one_way, _scenario([("PW", "leak")]), {WATER: ["PW"]}, crews=crews)
 
 
 class TestDefaultHorizon:

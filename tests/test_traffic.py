@@ -361,23 +361,21 @@ class TestRoadDistances:
             road_distances(blockage_net, "PW", {})
 
     FORCE_ROAD_CREW = (True, 5.0)  # (no congested times, factor)
-    CROSS_BLOCKED = (False, 5.0)
 
     @pytest.mark.parametrize(
-        "seed, fallbacks",
-        [(6, {FORCE_ROAD_CREW}), (8, {FORCE_ROAD_CREW}), (23, {FORCE_ROAD_CREW, CROSS_BLOCKED})],
+        "seed, fallbacks", [(6, {FORCE_ROAD_CREW}), (8, {FORCE_ROAD_CREW}), (23, {FORCE_ROAD_CREW})]
     )
     def test_scheduler_ledgers(self, monkeypatch, net, seed, fallbacks):
         """``build_event_table`` books the same ledger when crews route on
-        the heap oracle, for the full max_flow order and for the order
-        without its road repairs, where blocked roads stay failed. Each
-        routing schedules on a fresh network, so that neither reads the
-        crew distances the other left in the memo."""
+        the heap oracle, for the max_flow and centrality orders, each of
+        which forces the road crew to a blocked link. Each routing
+        schedules on a fresh network, so that neither reads the crew
+        distances the other left in the memo."""
         event = HazardEvent(kind="random", intensity="extreme", count=6)
         scenario = sample_scenario(net, event, seed=seed)
         failed = {f.component_id for f in scenario.failures}
-        order = rank_components(net, failed, "max_flow", build_planning_context(net, default_crews(net), failed))
-        orders = (order, {k: v for k, v in order.items() if k != TRAFFIC})
+        context = build_planning_context(net, default_crews(net), failed)
+        orders = [rank_components(net, failed, strategy, context) for strategy in ("max_flow", "centrality")]
         calls = []
 
         def recorded(net, origin, statuses, link_times=None, failed_factor=None):
@@ -388,7 +386,7 @@ class TestRoadDistances:
             fresh = build_simple_testbed()
             with monkeypatch.context() as m:
                 m.setattr(recovery, "road_distances", routing)
-                return [simulation.build_event_table(fresh, scenario, o, allow_partial=True).rows for o in orders]
+                return [simulation.build_event_table(fresh, scenario, o).rows for o in orders]
 
         assert ledgers(recorded) == ledgers(_heap_road_distances)
         assert {c for c in calls if c[1] is not None} == fallbacks
@@ -400,12 +398,12 @@ def crew_queries(net):
     6-failure scenario with three failed road links, with its answer from
     fresh ``road_distances`` calls: each road state (each failed link
     failed, under repair or repaired), each origin, and each metric
-    (congested; congested crossing blocked links at 5x; free-flow at 5x)."""
+    (congested; free-flow crossing blocked links at 5x)."""
     scenario = sample_scenario(net, HazardEvent(kind="random", intensity="extreme", count=6), seed=1)
     failed = {f.component_id: "failed" for f in scenario.failures}
     roads = sorted(cid for cid in failed if net.component(cid).kind == "road_link")
     assert len(roads) == 3
-    metrics = [(True, None), (True, simulation.BLOCKED_ROAD_FACTOR), (False, simulation.BLOCKED_ROAD_FACTOR)]
+    metrics = [(True, None), (False, simulation.BLOCKED_ROAD_FACTOR)]
     queries = []
     for flags in itertools.product(("failed", "under_repair", "repaired"), repeat=len(roads)):
         statuses = {**failed, **dict(zip(roads, flags))}
@@ -439,6 +437,6 @@ def test_memoized_crew_routing_equals_fresh(net, crew_queries, order):
             with pytest.raises(TypeError):  # shared by every later call, so read-only
                 got[args[0]] = 0.0
     kinds = [key[0] for key in memo._memo]
-    # 9 origins x 8 road states (a link under repair keys like a failed one) x 3 metrics
-    assert kinds.count("crew_distances") == 9 * 8 * 3
+    # 9 origins x 8 road states (a link under repair keys like a failed one) x 2 metrics
+    assert kinds.count("crew_distances") == 9 * 8 * 2
     assert kinds.count("access_node") == len(net.components)
