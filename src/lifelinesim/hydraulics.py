@@ -81,7 +81,7 @@ def pda_demand(pressure: float, desired: float, p0: float = 0.0, pf: float = 20.
     """
     if not pf > p0:
         raise ValueError("pf must exceed p0")
-    if e <= 0:
+    if not e > 0:
         raise ValueError("demand exponent must be positive")
     if isinstance(pressure, (int, float)) and isinstance(desired, (int, float)):
         return float(desired) * min(max((float(pressure) - p0) / (pf - p0), 0.0), 1.0) ** (1.0 / e)

@@ -196,7 +196,7 @@ def weighted_eoh(eoh_by_network: dict[str, float], weights: dict[str, float] | N
             w = weights[network]
         except KeyError:
             raise MetricsError(f"no weight for network {network!r}") from None
-        if w < 0:
+        if not (math.isfinite(w) and w >= 0):
             raise MetricsError("weights must be nonnegative")
         total += w * value
     return total

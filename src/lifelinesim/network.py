@@ -285,6 +285,8 @@ def validate_network(net: IntegratedNetwork) -> list[Violation]:
             out.append(Violation(c.id, "unique-id", "duplicate component id"))
             continue
         seen.add(c.id)
+        if "::" in c.id:  # the water solver names a broken pipe's halves P::leak and P::b
+            out.append(Violation(c.id, "reserved-id", "component id contains '::'"))
         if c.network not in NETWORKS:
             out.append(Violation(c.id, "known-network", f"unknown network {c.network!r}"))
             continue

@@ -54,7 +54,7 @@ def repair_duration(kind: str, overrides: dict[str, float] | None = None) -> flo
         duration = table[kind]
     except KeyError:
         raise RecoveryError(f"no repair duration for component kind {kind!r}") from None
-    if duration <= 0:
+    if not (math.isfinite(duration) and duration > 0):
         raise RecoveryError(f"repair duration for {kind!r} must be positive")
     return duration
 

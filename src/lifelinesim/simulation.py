@@ -14,10 +14,10 @@ moment they happen — a de-energized motor forces its pump out of
 service, and a tank that runs dry forces its dependent generator off
 (and back on when it refills) with a new dispatch at that minute.
 
-Callers that replay many ledgers on one network, such as the mpc
-evaluator or the strategies of a batch scenario, pass one replay store
-to ``simulate``: a ledger simulated before, to the same horizon, is not
-replayed.
+Callers that replay many ledgers on one network, such as the strategies
+of a batch scenario, pass one replay store to ``simulate``: a ledger
+simulated before, to the same horizon, is not replayed. The mpc
+evaluator keeps a score per ledger instead, and no series.
 """
 
 from __future__ import annotations
@@ -690,7 +690,6 @@ def make_weighted_eoh_evaluator(
     net: IntegratedNetwork,
     scenario: DisasterScenario,
     crews: list[Crew] | None = None,
-    store: dict | None = None,
 ) -> Callable[[dict[str, list[str]]], float]:
     """Score candidate repair orders by simulated weighted outage hours.
 
@@ -698,20 +697,22 @@ def make_weighted_eoh_evaluator(
     horizon (enough for all repairs plus a day of recovery) so that
     candidates compare at one horizon.
 
-    Candidates share one replay store (see ``simulate``) that lives as
-    long as the evaluator, so a ledger seen before is not replayed. Pass
-    ``store`` to keep it for a later ``simulate`` of the chosen order.
+    It keeps one score per distinct ledger, so a ledger met again is not
+    replayed; a new one is simulated without a replay store, so its
+    series are freed once it is scored.
     """
     total_repair = sum(
         repair_duration(net.component(f.component_id).kind) for f in scenario.failures
     )
     horizon = scenario.event.occurrence_time + total_repair + POST_RECOVERY_WINDOW + 3600.0
     horizon = math.ceil(horizon / WATER_SAMPLE_STEP) * WATER_SAMPLE_STEP
-    store = {} if store is None else store
+    scores: dict[tuple[EventRow, ...], float] = {}
 
     def evaluate(order: dict[str, list[str]]) -> float:
         table = build_event_table(net, scenario, order, crews=crews)
-        return simulate(net, table, horizon, store).weighted_eoh()
+        if table.rows not in scores:
+            scores[table.rows] = simulate(net, table, horizon).weighted_eoh()
+        return scores[table.rows]
 
     return evaluate
 
@@ -733,10 +734,10 @@ def run_scenario(
     hours and never scores above max_flow at the evaluator's horizon.
 
     ``store`` is a replay store (see ``simulate``) that the caller shares
-    between runs of one scenario, such as its strategies in a batch:
-    a ledger an earlier run or mpc candidate simulated to the same
-    horizon is not replayed. An mpc run without one uses a store of its
-    own. An ``mpc_horizon`` below 1 is rejected before any planning work.
+    between runs of one scenario, such as its strategies in a batch: a
+    ledger an earlier run simulated to the same horizon is not replayed.
+    mpc candidates do not go through it (see ``make_weighted_eoh_evaluator``).
+    An ``mpc_horizon`` below 1 is rejected before any planning work.
     """
     if strategy != "mpc" and strategy not in STRATEGIES:
         raise RecoveryError(
@@ -754,8 +755,7 @@ def run_scenario(
     context = build_planning_context(net, crews, failed)
     order = rank_components(net, failed, "max_flow" if strategy == "mpc" else strategy, context)
     if strategy == "mpc":
-        store = {} if store is None else store
-        evaluate = make_weighted_eoh_evaluator(net, scenario, crews=crews, store=store)
+        evaluate = make_weighted_eoh_evaluator(net, scenario, crews=crews)
         order = mpc_sequence(order, mpc_horizon, evaluate)
 
     table = build_event_table(net, scenario, order, crews=crews)

@@ -89,6 +89,11 @@ class TestPdaDemand:
         with pytest.raises(ValueError):
             pda_demand(1.0, 1.0, e=0.0)
 
+    def test_nan_exponent_rejected(self):
+        # as HydraulicParams(e=nan) is
+        with pytest.raises(ValueError, match="exponent must be positive"):
+            pda_demand(10.0, 1.0, e=math.nan)
+
     def test_vectorized_matches_scalar(self):
         ps = np.array([-1.0, 3.0, 19.0, 22.0])
         vec = pda_demand(ps, 0.01)

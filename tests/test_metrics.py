@@ -292,6 +292,11 @@ class TestWeightedEoh:
         with pytest.raises(MetricsError):
             weighted_eoh({"water": 1.0}, {"water": -0.5})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(MetricsError, match="nonnegative"):
+            weighted_eoh({"water": 1.0, "power": 2.0}, {"water": bad, "power": 0.5})
+
 
 @st.composite
 def _anova_matrices(draw):

@@ -181,6 +181,21 @@ class TestValidation:
         violations = validate_network(stray)
         assert [(v.component_id, v.rule) for v in violations] == [(component_id, "role-fields")]
 
+    @pytest.mark.parametrize("component_id, new_id", [("WP-W1-W2", "WP-W1-W2::b"), ("W5", "WP-W1-W2::leak")])
+    def test_reserved_ids_flagged(self, net, component_id, new_id):
+        # the water solver would read a pipe named P::b as the outlet half
+        # of a broken pipe P, and report zero flow through it
+        def renamed(cid):
+            return new_id if cid == component_id else cid
+
+        comps = [
+            replace(c, id=renamed(c.id), ends=c.ends and tuple(map(renamed, c.ends)))
+            for c in net.components
+        ]
+        deps = [replace(d, source_id=renamed(d.source_id), target_id=renamed(d.target_id)) for d in net.dependencies]
+        violations = validate_network(IntegratedNetwork(comps, deps, od_matrix=net.od_matrix, zone_priority=net.zone_priority))
+        assert [(v.component_id, v.rule) for v in violations] == [(new_id, "reserved-id")]
+
     def test_duplicate_ids_flagged(self):
         comps = [
             Component("X", WATER, "demand_node", (0.0, 0.0), {"base_demand": 0.01, "elevation": 0.0}),

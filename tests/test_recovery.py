@@ -74,6 +74,11 @@ class TestDurationsAndCrews:
         with pytest.raises(RecoveryError):
             repair_duration("bus")
 
+    @pytest.mark.parametrize("bad", [0.0, -60.0, float("nan"), float("inf")])
+    def test_duration_must_be_finite_and_positive(self, bad):
+        with pytest.raises(RecoveryError, match="must be positive"):
+            repair_duration("pipe", {"pipe": bad})
+
     def test_default_crews_garage_at_top_priority_zone(self, net):
         crews = default_crews(net)
         assert [c.id for c in crews] == ["water-crew-1", "power-crew-1", "traffic-crew-1"]

@@ -1,10 +1,11 @@
-"""An mpc run simulates its candidates and its final order through one
-replay store, and the strategies of a batch scenario share one; each
-result equals a fresh replay, a repeated ledger returns the stored
-result, and the store's results die with the run or the scenario. The
-replays share their Newton solves through the network's Newton table,
-which keeps them within its bound. (Stores shared across horizons and
-the dry-tank coupling are tested in ``test_simulation.py``.)"""
+"""An mpc run scores each distinct candidate ledger once and keeps only
+its score, and the strategies of a batch scenario, mpc's final run
+included, share one replay store; each result equals a fresh replay, a
+repeated ledger returns the stored result, and the store's results die
+with the scenario. The replays share their Newton solves through the
+network's Newton table, which keeps them within its bound. (Stores
+shared across horizons and the dry-tank coupling are tested in
+``test_simulation.py``.)"""
 
 import gc
 import weakref
@@ -91,13 +92,57 @@ def test_mpc_replays_match_fresh_replays(monkeypatch, seed):
     final = run_scenario(net, scenario, "mpc")
 
     assert calls[-1][3] is final
-    assert len({id(store) for *_, store, _ in calls}) == 1 and calls[0][2] is not None
-    # a ledger scored again returns the stored result
-    first = {}
+    # the candidates are simulated without a store, each distinct ledger once
+    candidates = calls[:-1]
+    assert candidates and all(store is None for _, _, store, _ in candidates)
+    keys = [(table.rows, horizon) for table, horizon, _, _ in candidates]
+    assert len(set(keys)) == len(keys)
     for table, horizon, _, result in calls:
-        assert first.setdefault((table.rows, horizon), result) is result
-    for (_, horizon), result in first.items():
-        _assert_same_replay(result, real(build_simple_testbed(), result.event_table, horizon))
+        _assert_same_replay(result, real(build_simple_testbed(), table, horizon))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 12])
+def test_mpc_scores_each_distinct_ledger_once(monkeypatch, seed):
+    net = build_simple_testbed()
+    scenario = _mpc_scenario(net, seed)
+    ledgers = []
+    build = simulation.build_event_table
+
+    def recording(*args, **kwargs):
+        table = build(*args, **kwargs)
+        ledgers.append(table.rows)
+        return table
+
+    monkeypatch.setattr(simulation, "build_event_table", recording)
+    scored = []
+    weighted_eoh = simulation.SimulationResult.weighted_eoh
+
+    def scoring(result, *args):
+        scored.append(result.event_table.rows)
+        return weighted_eoh(result, *args)
+
+    monkeypatch.setattr(simulation.SimulationResult, "weighted_eoh", scoring)
+    run_scenario(net, scenario, "mpc")
+    candidates = ledgers[:-1]  # the last ledger is the final run's
+    assert len(set(candidates)) < len(candidates)  # the search meets a ledger again
+    assert scored == list(dict.fromkeys(candidates))  # each when first met
+
+
+def test_no_candidate_result_outlives_its_score(monkeypatch):
+    net = build_simple_testbed()
+    results = []
+    real = simulation.simulate
+
+    def checked(net, table, horizon=None, store=None):
+        gc.collect()
+        assert all(ref() is None for ref in results), "an earlier candidate's result is alive"
+        result = real(net, table, horizon, store)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(simulation, "simulate", checked)
+    run_scenario(net, _mpc_scenario(net, 1), "mpc")
+    assert len(results) > 2
 
 
 def test_mpc_choices_do_not_depend_on_the_store(monkeypatch):
@@ -163,7 +208,11 @@ def test_mpc_after_a_heuristic_resumes_from_its_replay(monkeypatch):
     run_scenario(net, scenario, "max_flow", store=store)
     refs = _newton_results(monkeypatch)
     final = run_scenario(net, scenario, "mpc", store=store)
-    assert all(kept is store for _, _, kept, _ in calls)
+    # the heuristic's run and mpc's final run go through the caller's
+    # store, and the candidates through none
+    stores = [kept for _, _, kept, _ in calls]
+    assert stores[0] is store and stores[-1] is store and len(stores) > 2
+    assert all(kept is None for kept in stores[1:-1])
     # the candidates rerun none of the Newton solves the max_flow replay
     # ran, such as those before the first repair, which every ledger shares
     shared = len(refs)
@@ -179,7 +228,11 @@ def test_a_batch_scenario_shares_one_store_that_dies_with_it(monkeypatch):
     refs = _newton_results(monkeypatch)
     record = cli._batch_worker((net, 0, 2, ["max_flow", "zone", "mpc"], event, 1.0, 2))
     assert "error" not in record
-    assert len({id(store) for *_, store, _ in calls}) == 1 and calls[0][2] is not None
+    # the two heuristics and mpc's final run share the scenario's store;
+    # mpc's candidates go through none
+    stores = [None if store is None else id(store) for _, _, store, _ in calls]
+    assert stores[0] is not None and stores[1] == stores[0] == stores[-1]
+    assert len(stores) > 3 and set(stores[2:-1]) == {None}
     _assert_only_newton_results_kept(net, calls, refs)
 
 

@@ -1,6 +1,7 @@
 """Event-table scheduling and the interdependent replay loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from lifelinesim import simulation
 from lifelinesim.hazard import ComponentFailure, DisasterScenario, HazardEvent, sample_scenario
 from lifelinesim.metrics import pcs_curve
-from lifelinesim.network import POWER, TRAFFIC, WATER, Component, Dependency, IntegratedNetwork
+from lifelinesim.hydraulics import HydraulicError, WaterSimulator
+from lifelinesim.network import POWER, STATUS_REPAIRED, TRAFFIC, WATER, Component, Dependency, IntegratedNetwork
+from lifelinesim.powerflow import PowerFlowError
 from lifelinesim.recovery import Crew, RecoveryError, default_crews
 from lifelinesim.simulation import (
     ACTION_FAIL,
@@ -23,6 +26,7 @@ from lifelinesim.simulation import (
     simulate,
 )
 from lifelinesim.testbed import build_simple_testbed
+from lifelinesim.traffic import TrafficAssignmentError
 
 # Feeder-line scenario on the built-in testbed, hand-checked end to end:
 # the line crew leaves T5 at t=3600 and the repair closes at this time.
@@ -338,6 +342,67 @@ class TestScheduling:
         with pytest.raises(SimulationError, match=r"crew water-crew-1 at Z2 cannot reach any of "
                                                   r"\['PW'\] even after every road repair"):
             build_event_table(one_way, _scenario([("PW", "leak")]), {WATER: ["PW"]}, crews=crews)
+
+
+class TestSolverErrorsWrapped:
+    """Each solver's error surfaces as a ``SimulationError`` caused by it."""
+
+    def test_traffic_assignment_during_scheduling(self, monkeypatch):
+        # on a fresh network, so that no repaired road state is memoized;
+        # the water crew, busy until after the road repair, opens it
+        net = build_simple_testbed()
+        scenario = _scenario([("TL-T5-T6", "full"), ("WP-W1-W2", "leak")])
+        crews = [replace(c, busy_until=1e6) if c.network == WATER else c for c in default_crews(net)]
+        error = TrafficAssignmentError("no convergence")
+        real = simulation.assign_traffic
+
+        def failing(net, statuses):
+            if STATUS_REPAIRED in statuses.values():
+                raise error
+            return real(net, statuses)
+
+        monkeypatch.setattr(simulation, "assign_traffic", failing)
+        with pytest.raises(SimulationError, match="traffic assignment failed during scheduling") as info:
+            build_event_table(net, scenario, {TRAFFIC: ["TL-T5-T6"], WATER: ["WP-W1-W2"]}, crews=crews)
+        assert info.value.__cause__ is error
+
+    def test_road_crew_cannot_reach_any_failed_link(self):
+        # the one road is one-way into the crew's garage at Z2, so the
+        # crew cannot reach Z1, the failed link's access node, even
+        # across blocked links
+        comps = [
+            Component("Z1", TRAFFIC, "zone_node", (0.0, 0.0)),
+            Component("Z2", TRAFFIC, "zone_node", (1000.0, 0.0)),
+            Component("RL-Z1-Z2", TRAFFIC, "road_link", (0, 0),
+                      {"free_flow_time": 60.0, "capacity": 1e9}, ends=("Z1", "Z2")),
+        ]
+        one_way = IntegratedNetwork(comps, [], od_matrix={})
+        crews = [Crew(id="traffic-crew-1", network=TRAFFIC, location="Z2")]
+        with pytest.raises(SimulationError, match="road crew at Z2 cannot reach any failed road link"):
+            build_event_table(one_way, _scenario([("RL-Z1-Z2", "full")]), {TRAFFIC: ["RL-Z1-Z2"]},
+                              crews=crews)
+
+    def test_power_dispatch(self, monkeypatch):
+        error = PowerFlowError("infeasible")
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(simulation, "solve_power", failing)
+        with pytest.raises(SimulationError, match="power dispatch failed at t=0.0") as info:
+            simulate(build_simple_testbed(), EventTable(()), horizon=120.0)
+        assert info.value.__cause__ is error
+
+    def test_hydraulic_solve(self, monkeypatch):
+        error = HydraulicError("diverged")
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(WaterSimulator, "solve", failing)
+        with pytest.raises(SimulationError, match=r"hydraulic solve failed at t=0.0 in interval \[0.0, 120.0\)") as info:
+            simulate(build_simple_testbed(), EventTable(()), horizon=120.0)
+        assert info.value.__cause__ is error
 
 
 class TestDefaultHorizon:
