@@ -2,8 +2,11 @@
 
 Given one multi-failure scenario, prints the repair order each strategy
 chooses and the crew schedule the best one produces, including how a
-blocked road defers otherwise-ready work.
+blocked road defers otherwise-ready work, and what a second crew on each
+network does to the max_flow order's outage hours.
 """
+
+from dataclasses import replace
 
 from lifelinesim import (
     build_event_table,
@@ -53,6 +56,10 @@ def main():
     for strategy, order in orders.items():
         print(f"{strategy:>14}: {evaluate(order):.3f} h")
     print(f"{'mpc k=2':>14}: {evaluate(mpc_order):.3f} h")
+
+    two_crews = crews + [replace(c, id=f"{c.network}-crew-2") for c in crews]
+    evaluate_two = make_weighted_eoh_evaluator(net, scenario, crews=two_crews)
+    print(f"{'max_flow':>14}: {evaluate_two(orders['max_flow']):.3f} h with two crews per network")
 
     print("\n=== crew schedule for the mpc order ===")
     table = build_event_table(net, scenario, mpc_order, crews=crews)

@@ -58,6 +58,8 @@ class HazardEvent:
                 raise HazardError("track event needs >= 2 vertices and a positive offset")
         if self.kind == RANDOM and (self.count is None or self.count < 1):
             raise HazardError("random event needs a positive component count")
+        if not (math.isfinite(self.occurrence_time) and self.occurrence_time >= 0.0):
+            raise HazardError(f"occurrence time must be finite and >= 0, got {self.occurrence_time}")
 
 
 @dataclass(frozen=True)

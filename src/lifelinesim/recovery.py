@@ -61,7 +61,11 @@ def repair_duration(kind: str, overrides: dict[str, float] | None = None) -> flo
 
 @dataclass
 class Crew:
-    """A repair unit serving one network, garaged at a traffic node."""
+    """A repair unit serving one network, garaged at a traffic node.
+
+    ``build_event_table`` takes a list of crews, any number per network,
+    with distinct ids; the earliest free (``busy_until``, then ``id``)
+    goes next."""
 
     id: str
     network: str
@@ -70,7 +74,10 @@ class Crew:
 
 
 def default_crews(net: IntegratedNetwork, start: str | None = None) -> list[Crew]:
-    """One crew per network, garaged at the highest-priority zone."""
+    """One crew per network, garaged at the highest-priority zone.
+
+    The CLI schedules with these. For more crews, pass a longer list as
+    ``crews``, each with its own id."""
     if start is None:
         zones = sorted(z.id for z in net.nodes_of(TRAFFIC))
         if not zones:
@@ -133,6 +140,10 @@ def build_planning_context(
 ) -> PlanningContext:
     """Pre-disaster flow solutions plus crew starts.
 
+    A network's crew start, where ``crew_distance`` measures from, is
+    the garage of its least-id crew, so the order of ``crews`` changes
+    no ranking.
+
     Peak flows come from undisrupted solver runs (an hour of hydraulics
     to catch tank-driven drift, one dispatch, one assignment). They
     depend only on the network, so they are solved once per network and
@@ -149,7 +160,7 @@ def build_planning_context(
     statuses = {cid: STATUS_FAILED for cid in failed}
     return PlanningContext(
         peak_flow=dict(peak),
-        crew_start={c.network: c.location for c in crews},
+        crew_start={c.network: c.location for c in sorted(crews, key=lambda c: c.id, reverse=True)},
         travel_time=_post_failure_travel(net, statuses),
     )
 

@@ -34,6 +34,7 @@ from .hazard import DisasterScenario
 from .hydraulics import HydraulicError, WaterSimulator
 from .metrics import NetworkSeries
 from .network import (
+    NETWORKS,
     POWER,
     STATUS_FAILED,
     STATUS_REPAIRED,
@@ -217,24 +218,28 @@ def build_event_table(
 ) -> EventTable:
     """Schedule repairs around road access, one component at a time.
 
-    Each network's crew takes its next listed component, checks whether
-    the component's access node is reachable over in-service road links,
-    and if so books travel (congested shortest path) plus the repair;
-    inaccessible components are deferred in favor of later accessible
-    ones. Travel times refresh after every road-link repair, read from
-    the network memo's crew distances of each road state
-    (``crew_distances``). Crews become available at the disaster
-    occurrence time.
+    ``crews`` is a list with any number of crews per network (default:
+    ``default_crews``, one each). The earliest-free crew, by
+    ``(busy_until, id)`` among crews whose network has work left, takes
+    the first component of its network's order whose access node it can
+    reach over in-service road links, and books travel (congested
+    shortest path) plus the repair; inaccessible components are deferred
+    in favor of later accessible ones. A crew that can reach none waits
+    for the next booked road repair to end. Travel times refresh after
+    every road-link repair, read from the network memo's crew distances
+    of each road state (``crew_distances``). Crews become available at
+    the disaster occurrence time.
 
-    When every crew is stuck with road repairs pending, the road crew's
-    next task is forced to the nearest failed road link (free-flow
-    metric, blocked links passable at 5x). A crew that cannot reach its
-    work even after every road repair is an error.
+    When every crew is stuck with road repairs pending, the earliest-free
+    road crew's next task is forced to its nearest failed road link
+    (free-flow metric, blocked links passable at 5x). A crew that cannot
+    reach its work even after every road repair is an error.
 
     The order of each network must list every failed component of that
     network exactly once, and a network with failures that the order
     leaves out is rejected. A network whose order lists components but
-    that no crew serves is rejected.
+    that no crew serves is rejected, and so are a repeated crew id, a
+    crew of an unknown network and a garage that is not a traffic node.
     """
     failed_by_network = _grouped_failures(net, scenario)
     for network in sorted(failed_by_network.keys() | repair_order.keys()):
@@ -256,22 +261,27 @@ def build_event_table(
     ]
 
     crew_list = [replace(c) for c in (crews if crews is not None else default_crews(net))]
-    by_network: dict[str, Crew] = {}
-    for crew in sorted(crew_list, key=lambda c: c.id):
-        if crew.network in by_network:
-            raise SimulationError(
-                f"crews {by_network[crew.network].id} and {crew.id} both serve "
-                f"{crew.network}; scheduling supports one crew per network"
-            )
-        by_network[crew.network] = crew
+    garages = {z.id for z in net.nodes_of(TRAFFIC)}
+    seen: set[str] = set()
+    for crew in crew_list:
+        if crew.id in seen:
+            raise SimulationError(f"two crews have the id {crew.id!r}")
+        if crew.network not in NETWORKS:
+            raise SimulationError(f"crew {crew.id} serves unknown network {crew.network!r}")
+        if crew.location not in garages:
+            raise SimulationError(f"crew {crew.id} garages at {crew.location!r}, not a traffic node")
+        seen.add(crew.id)
         crew.busy_until = max(crew.busy_until, occurrence)
 
     pending: dict[str, list[str]] = {
         network: list(order) for network, order in sorted(repair_order.items()) if order
     }
     for network, order in pending.items():
-        if network not in by_network:
+        if not any(c.network == network for c in crew_list):
             raise SimulationError(f"no crew serves {network}, whose repair order lists {order}")
+
+    def earliest(networks) -> Crew:
+        return min((c for c in crew_list if c.network in networks), key=lambda c: (c.busy_until, c.id))
 
     statuses: dict[str, str] = {f.component_id: STATUS_FAILED for f in scenario.failures}
 
@@ -317,10 +327,10 @@ def build_event_table(
             booked_roads.sort()
 
     def force_road_crew() -> bool:
-        """Deadlock break: send the road crew to its nearest blocked link."""
+        """Deadlock break: send the earliest-free road crew to its nearest blocked link."""
         if TRAFFIC not in pending:
             return False
-        road_crew = by_network[TRAFFIC]
+        road_crew = earliest((TRAFFIC,))
         apply_openings(road_crew.busy_until)
         dist = crew_distances(
             net, road_crew.location, statuses, congested=False, failed_factor=BLOCKED_ROAD_FACTOR
@@ -339,8 +349,7 @@ def build_event_table(
         return True
 
     while pending:
-        active = [by_network[n] for n in pending]
-        crew = min(active, key=lambda c: (c.busy_until, c.id))
+        crew = earliest(pending)
         apply_openings(crew.busy_until)
         found = first_accessible(crew)
         if found is not None:

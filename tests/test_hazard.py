@@ -223,3 +223,8 @@ class TestEventValidation:
     def test_non_finite_geometry(self, geometry):
         with pytest.raises(HazardError, match="finite"):
             HazardEvent(intensity="high", **geometry)
+
+    @pytest.mark.parametrize("occurrence", [math.nan, math.inf, -10.0])
+    def test_occurrence_time_must_be_finite_and_not_negative(self, occurrence):
+        with pytest.raises(HazardError, match="occurrence time"):
+            HazardEvent(kind="random", count=3, occurrence_time=occurrence)

@@ -1,5 +1,7 @@
 """Invariants of whole runs over sampled scenarios and every strategy."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +11,8 @@ from lifelinesim import simulation
 from lifelinesim.hazard import INTENSITIES, HazardEvent, sample_scenario
 from lifelinesim.metrics import ecs_curve, pcs_curve
 from lifelinesim.network import POWER, WATER
-from lifelinesim.recovery import STRATEGIES
-from lifelinesim.simulation import run_scenario
+from lifelinesim.recovery import STRATEGIES, default_crews
+from lifelinesim.simulation import ACTION_REPAIR_END, run_scenario
 from lifelinesim.testbed import build_simple_testbed
 
 # one network for every example, as a batch shares it
@@ -29,12 +31,20 @@ scenarios = st.builds(
 )
 
 
+def _crews(per_network):
+    """``default_crews`` with ``per_network`` crews on each network."""
+    crews = default_crews(NET)
+    return [replace(c, id=f"{c.network}-crew-{k}") for k in range(1, per_network + 1) for c in crews]
+
+
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(scenario=scenarios)
-def test_runs_keep_their_invariants(scenario):
+@given(scenario=scenarios, per_network=st.integers(1, 2))
+def test_runs_keep_their_invariants(scenario, per_network):
     for strategy in STRATEGIES:
-        result = run_scenario(NET, scenario, strategy)
+        result = run_scenario(NET, scenario, strategy, crews=_crews(per_network))
         assert result.event_table.validate() == [], strategy
+        repaired = {r.component_id for r in result.event_table.of_action(ACTION_REPAIR_END)}
+        assert repaired == {f.component_id for f in scenario.failures}, strategy
         for network in (WATER, POWER):
             series = result.series(network)
             for curve in (pcs_curve(series), ecs_curve(series)):
@@ -72,12 +82,17 @@ def test_runs_sharing_a_store_equal_storeless_runs(seed, strategies):
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**16), count=st.integers(2, 6), horizon=st.sampled_from((1, 2)))
+@given(
+    seed=st.integers(0, 2**16),
+    count=st.integers(2, 6),
+    horizon=st.sampled_from((1, 2)),
+    per_network=st.integers(1, 2),
+)
 # where each candidate was scored as a cut order, with the rest of its
 # network left failed, mpc read 3.593 > 3.446 h and 7.120 > 7.039 h
-@example(seed=527, count=6, horizon=1)
-@example(seed=624, count=10, horizon=2)
-def test_mpc_never_scores_above_max_flow(seed, count, horizon):
+@example(seed=527, count=6, horizon=1, per_network=1)
+@example(seed=624, count=10, horizon=2, per_network=1)
+def test_mpc_never_scores_above_max_flow(seed, count, horizon, per_network):
     # both orders are scored by the mpc run's own evaluator, at its horizon
     scenario = sample_scenario(NET, HazardEvent(kind="random", intensity="extreme", count=count), seed=seed)
     search = simulation.mpc_sequence
@@ -90,6 +105,6 @@ def test_mpc_never_scores_above_max_flow(seed, count, horizon):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(simulation, "mpc_sequence", recorded)
-        run_scenario(NET, scenario, "mpc", mpc_horizon=horizon)
+        run_scenario(NET, scenario, "mpc", mpc_horizon=horizon, crews=_crews(per_network))
     ((mpc, max_flow),) = scores
     assert mpc <= max_flow

@@ -5,14 +5,36 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lifelinesim import simulation
-from lifelinesim.hazard import ComponentFailure, DisasterScenario, HazardEvent, sample_scenario
+from lifelinesim import graphs, simulation
+from lifelinesim.hazard import INTENSITIES, ComponentFailure, DisasterScenario, HazardEvent, sample_scenario
 from lifelinesim.metrics import pcs_curve
 from lifelinesim.hydraulics import HydraulicError, WaterSimulator
-from lifelinesim.network import POWER, STATUS_REPAIRED, TRAFFIC, WATER, Component, Dependency, IntegratedNetwork
+from lifelinesim.network import (
+    IN_SERVICE,
+    POWER,
+    STATUS_FAILED,
+    STATUS_REPAIRED,
+    TRAFFIC,
+    WATER,
+    Component,
+    Dependency,
+    IntegratedNetwork,
+    component_location,
+    nearest_zone,
+)
 from lifelinesim.powerflow import PowerFlowError
-from lifelinesim.recovery import Crew, RecoveryError, default_crews
+from lifelinesim.recovery import (
+    REPAIR_DURATIONS,
+    STRATEGIES,
+    Crew,
+    RecoveryError,
+    build_planning_context,
+    default_crews,
+    rank_components,
+)
 from lifelinesim.simulation import (
     ACTION_FAIL,
     ACTION_REPAIR_END,
@@ -26,7 +48,7 @@ from lifelinesim.simulation import (
     simulate,
 )
 from lifelinesim.testbed import build_simple_testbed
-from lifelinesim.traffic import TrafficAssignmentError
+from lifelinesim.traffic import TrafficAssignmentError, assign_traffic
 
 # Feeder-line scenario on the built-in testbed, hand-checked end to end:
 # the line crew leaves T5 at t=3600 and the repair closes at this time.
@@ -294,14 +316,48 @@ class TestScheduling:
         with pytest.raises(SimulationError, match="twice"):
             build_event_table(corridor_net, scenario, {WATER: ["PW", "PW"]})
 
-    def test_second_crew_on_a_network_rejected(self, corridor_net):
-        crews = [
-            Crew(id="water-crew-1", network=WATER, location="Z1"),
-            Crew(id="water-crew-2", network=WATER, location="Z2"),
+    def test_two_road_crews_share_the_work(self, blockage_net):
+        # each 12 h repair starts after a 60 s drive from Z2; one crew
+        # drives on from Z1 over the link it has just repaired
+        scenario = _scenario([("RL-Z1-Z2", "full"), ("RL-Z3-Z4", "full")])
+        order = {TRAFFIC: ["RL-Z1-Z2", "RL-Z3-Z4"]}
+        two = [Crew(id=f"traffic-crew-{k}", network=TRAFFIC, location="Z2") for k in (1, 2)]
+
+        def repairs(crews):
+            table = build_event_table(blockage_net, scenario, order, crews=crews)
+            assert table.validate() == []
+            return [(r.time, r.component_id, r.action, r.crew_id) for r in table.rows if r.crew_id]
+
+        assert repairs(two) == [
+            (3660.0, "RL-Z1-Z2", ACTION_REPAIR_START, "traffic-crew-1"),
+            (3660.0, "RL-Z3-Z4", ACTION_REPAIR_START, "traffic-crew-2"),
+            (46860.0, "RL-Z1-Z2", ACTION_REPAIR_END, "traffic-crew-1"),
+            (46860.0, "RL-Z3-Z4", ACTION_REPAIR_END, "traffic-crew-2"),
         ]
-        with pytest.raises(SimulationError, match="one crew per network"):
-            build_event_table(corridor_net, _scenario([("PW", "leak")]), {WATER: ["PW"]},
-                              crews=crews)
+        assert repairs(two[::-1]) == repairs(two)
+        assert repairs(two[:1]) == [
+            (3660.0, "RL-Z1-Z2", ACTION_REPAIR_START, "traffic-crew-1"),
+            (46860.0, "RL-Z1-Z2", ACTION_REPAIR_END, "traffic-crew-1"),
+            (46980.0, "RL-Z3-Z4", ACTION_REPAIR_START, "traffic-crew-1"),
+            (90180.0, "RL-Z3-Z4", ACTION_REPAIR_END, "traffic-crew-1"),
+        ]
+
+    def test_repeated_crew_id_rejected(self, net):
+        # one id on three networks once booked overlapping repairs
+        scenario = sample_scenario(net, HazardEvent(kind="random", intensity="extreme", count=6), seed=1)
+        crews = [Crew("crew", network, "T5") for network in (WATER, POWER, TRAFFIC)]
+        with pytest.raises(SimulationError, match="two crews have the id 'crew'"):
+            run_scenario(net, scenario, "max_flow", crews=crews)
+
+    def test_crew_of_unknown_network_rejected(self, corridor_net):
+        crews = [Crew("water-crew-1", WATER, "Z1"), Crew("gas-crew-1", "gas", "Z1")]
+        with pytest.raises(SimulationError, match="crew gas-crew-1 serves unknown network 'gas'"):
+            build_event_table(corridor_net, _scenario([("PW", "leak")]), {WATER: ["PW"]}, crews=crews)
+
+    def test_garage_off_the_road_network_rejected(self, corridor_net):
+        crews = [Crew("water-crew-1", WATER, "JX")]
+        with pytest.raises(SimulationError, match="crew water-crew-1 garages at 'JX', not a traffic node"):
+            build_event_table(corridor_net, _scenario([("PW", "leak")]), {WATER: ["PW"]}, crews=crews)
 
     def test_network_without_a_crew_rejected(self, net, blockage_net):
         crews = [c for c in default_crews(net) if c.network != WATER]
@@ -683,6 +739,143 @@ class TestSampleRuns:
         for k in (1, 2, 4, 5):
             assert got[k].shape == want[k].shape and got[k].dtype == want[k].dtype, k
             assert np.array_equal(got[k], want[k]), k
+
+
+class _ReferenceScheduler:
+    """Oracle: the scheduling rules of the README, followed literally for
+    any number of crews. Each crew choice routes with one
+    ``graphs.dijkstra`` over the link times of a fresh ``assign_traffic``
+    of the current road state (free-flow times for the deadlock break),
+    and access nodes come from ``nearest_zone``; nothing is read from the
+    network memo."""
+
+    def __init__(self, net, scenario, order, crews):
+        self.net = net
+        self.crews = [replace(c, busy_until=max(c.busy_until, scenario.event.occurrence_time)) for c in crews]
+        self.todo = {network: list(ids) for network, ids in order.items() if ids}
+        self.statuses = {f.component_id: STATUS_FAILED for f in scenario.failures}
+        self.rows = [EventRow(f.time, f.component_id, ACTION_FAIL) for f in scenario.failures]
+        self.road_ends = []  # (end, link) of every booked road repair
+        self.assignments = {}  # out-of-service roads -> fresh assignment
+
+    def earliest(self, networks):
+        return min((c for c in self.crews if c.network in networks), key=lambda c: (c.busy_until, c.id))
+
+    def access(self, cid):
+        return nearest_zone(self.net, component_location(self.net.component(cid), self.net))
+
+    def open_roads(self, now):
+        for end, link in self.road_ends:
+            if end <= now + simulation._TIME_TOL:
+                self.statuses[link] = STATUS_REPAIRED
+
+    def travel(self, origin, free_flow=False):
+        """Travel time from ``origin`` to each traffic node, inf where cut off."""
+        links = self.net.components_of(TRAFFIC, "road_link")
+        down = frozenset(c.id for c in links if self.statuses.get(c.id, c.status) not in IN_SERVICE)
+        if down not in self.assignments:
+            self.assignments[down] = assign_traffic(self.net, self.statuses).link_time
+        adj = {z.id: [] for z in self.net.nodes_of(TRAFFIC)}
+        for link in links:
+            a, b = link.ends
+            t0 = link.attrs["free_flow_time"]
+            if link.id not in down:
+                adj[a].append((b, t0 if free_flow else self.assignments[down][link.id], link.id))
+            elif free_flow:
+                adj[a].append((b, simulation.BLOCKED_ROAD_FACTOR * t0, link.id))
+        dist, _ = graphs.dijkstra(adj, origin)
+        return lambda cid: dist.get(self.access(cid), math.inf)
+
+    def book(self, crew, cid, travel):
+        comp = self.net.component(cid)
+        start = crew.busy_until + travel
+        end = start + REPAIR_DURATIONS[comp.kind]
+        self.rows.append(EventRow(start, cid, ACTION_REPAIR_START, crew.id))
+        self.rows.append(EventRow(end, cid, ACTION_REPAIR_END, crew.id))
+        crew.location, crew.busy_until = self.access(cid), end
+        self.todo[crew.network].remove(cid)
+        if not self.todo[crew.network]:
+            del self.todo[crew.network]
+        if comp.kind == "road_link":
+            self.road_ends.append((end, cid))
+
+    def ledger(self):
+        while self.todo:
+            # the earliest-free crew with work left takes the first
+            # component of its order that it can reach
+            crew = self.earliest(self.todo)
+            self.open_roads(crew.busy_until)
+            travel = self.travel(crew.location)
+            reachable = [(cid, travel(cid)) for cid in self.todo[crew.network] if math.isfinite(travel(cid))]
+            if reachable:
+                self.book(crew, *reachable[0])
+                continue
+            # or waits for the next road to open
+            later = [end for end, _ in self.road_ends if end > crew.busy_until + simulation._TIME_TOL]
+            if later:
+                crew.busy_until = min(later)
+                continue
+            # or, with nothing left to wait for, the earliest-free road crew
+            # goes to its nearest blocked link, crossing blocked links
+            road_crew = self.earliest((TRAFFIC,))
+            self.open_roads(road_crew.busy_until)
+            travel = self.travel(road_crew.location, free_flow=True)
+            cost, cid = min((travel(cid), cid) for cid in self.todo[TRAFFIC])
+            self.book(road_crew, cid, cost)
+        return EventTable(tuple(self.rows)).rows
+
+
+def _second_crews(net, garage=None):
+    """``default_crews`` and, on each network, a second crew at ``garage``
+    (default: the first crew's garage)."""
+    crews = default_crews(net)
+    return crews + [replace(c, id=f"{c.network}-crew-2", location=garage or c.location) for c in crews]
+
+
+class TestReferenceScheduler:
+    """``build_event_table`` books the reference scheduler's ledger, at one
+    and at two crews per network."""
+
+    @staticmethod
+    def _assert_agree(net, scenario, strategies, crew_lists):
+        failed = {f.component_id for f in scenario.failures}
+        for crews in crew_lists:
+            context = build_planning_context(net, crews, failed)
+            for strategy in strategies:
+                order = rank_components(net, failed, strategy, context)
+                want = _ReferenceScheduler(net, scenario, order, crews).ledger()
+                got = build_event_table(net, scenario, order, crews=crews).rows
+                assert got == want, (strategy, len(crews))
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        count=st.integers(1, 8),
+        intensity=st.sampled_from(INTENSITIES),
+        occurrence=st.integers(0, 7200).map(float),
+        garage=st.sampled_from([f"T{k}" for k in range(1, 10)]),
+    )
+    # at two crews a stuck crew waits while two road repairs are booked:
+    # it waits for the first to end
+    @example(seed=134, count=7, intensity="extreme", occurrence=3600.0, garage="T5")
+    def test_drawn_scenarios(self, net, seed, count, intensity, occurrence, garage):
+        event = HazardEvent(kind="random", intensity=intensity, count=count, occurrence_time=occurrence)
+        scenario = sample_scenario(net, event, seed=seed)
+        crew_lists = [default_crews(net), _second_crews(net, garage)]
+        self._assert_agree(net, scenario, ("max_flow", "centrality"), crew_lists)
+
+    @pytest.mark.parametrize("seed", [6, 8, 23])
+    def test_deadlock_break_seeds(self, net, seed):
+        # the seeds of test_traffic's scheduler ledgers, where the road
+        # crew is sent across blocked links
+        scenario = sample_scenario(net, HazardEvent(kind="random", intensity="extreme", count=6), seed=seed)
+        crew_lists = [default_crews(net), _second_crews(net)]
+        self._assert_agree(net, scenario, ("max_flow", "centrality"), crew_lists)
+
+    @pytest.mark.parametrize("seed", [1, 2, 12])
+    def test_mpc_pool_scenarios(self, net, seed):
+        scenario = sample_scenario(net, HazardEvent(kind="random", intensity="extreme", count=6), seed=seed)
+        self._assert_agree(net, scenario, STRATEGIES, [default_crews(net), _second_crews(net)])
 
 
 class TestRunScenario:
