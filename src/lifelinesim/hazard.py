@@ -167,8 +167,7 @@ def sample_scenario(
                 failures.append(ComponentFailure(comp.id, event.occurrence_time, _severity(comp.kind)))
     else:
         for comp in eligible:
-            p = p_hazard * exposure_probability(event, component_location(comp, net)) * cond
-            if rng.random() < p:
+            if rng.random() < failure_probability(event, net, comp.id, p_hazard, level):
                 failures.append(ComponentFailure(comp.id, event.occurrence_time, _severity(comp.kind)))
     return DisasterScenario(event=event, failures=tuple(failures), seed=seed, intensity=level)
 

@@ -189,6 +189,12 @@ class IntegratedNetwork:
             and (status in IN_SERVICE) != (self._by_id[cid].status in IN_SERVICE)
         )
 
+    @staticmethod
+    def key_statuses(key: frozenset) -> dict[str, str]:
+        """Statuses that ``service_key`` maps back to ``key``: repaired where
+        the key puts a component in service, failed where it takes it out."""
+        return {cid: STATUS_REPAIRED if up else STATUS_FAILED for cid, up in key}
+
     def component(self, component_id: str) -> Component:
         try:
             return self._by_id[component_id]

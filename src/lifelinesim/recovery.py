@@ -92,45 +92,44 @@ def default_crews(net: IntegratedNetwork, start: str | None = None) -> list[Crew
 
 @dataclass(frozen=True)
 class PlanningContext:
+    """What the ranking criteria look at: each component's peak
+    pre-disaster flow, and ``crew_travel``, each network's read-only
+    ``crew_distances`` table under the post-failure road state from the
+    garage of its least-id crew, so the order of the crews changes no
+    ranking."""
     peak_flow: dict[str, float]
-    crew_start: dict[str, str]
-    travel_time: Callable[[str, str], float]
+    crew_travel: dict[str, Mapping[str, float]]
 
 
-def road_assignment(net: IntegratedNetwork, statuses: dict[str, str]) -> TrafficState:
-    """The assignment of the statuses' road state, solved once per
+def road_assignment(net: IntegratedNetwork, road_state: frozenset) -> TrafficState:
+    """The assignment under ``road_state``
+    (``IntegratedNetwork.service_key(TRAFFIC, ...)``), solved once per
     network and road state: the memo entry ``link_times_key``."""
-    return net.cached(link_times_key(net, statuses), lambda: assign_traffic(net, statuses))
+    return net.cached(link_times_key(road_state), lambda: assign_traffic(net, net.key_statuses(road_state)))
 
 
 def crew_distances(
     net: IntegratedNetwork,
     origin: str,
-    statuses: dict[str, str],
-    congested: bool = True,
+    road_state: frozenset,
     failed_factor: float | None = None,
 ) -> Mapping[str, float]:
-    """``road_distances`` from ``origin`` under the statuses' road state,
-    over the congested times of that state's assignment
-    (``road_assignment``) or, when not ``congested``, free-flow times.
-    Found once per network, origin, road state, metric and factor: the
-    memo entry ``("crew_distances", ...)``. Every later call on the
-    network shares it, so it is a read-only view."""
-    road_state = net.service_key(TRAFFIC, statuses)
+    """``road_distances`` from ``origin`` under ``road_state``
+    (``IntegratedNetwork.service_key(TRAFFIC, ...)``).
+
+    Without ``failed_factor``, links take the congested times of that
+    state's assignment (``road_assignment``) and blocked links are
+    impassable: a crew's normal choice. With one, links take free-flow
+    times and a blocked link costs ``failed_factor`` x its free-flow
+    time: the deadlock break. Found once per network, origin, road
+    state and factor: the memo entry ``("crew_distances", ...)``. Every
+    later call on the network shares it, so it is a read-only view."""
 
     def compute() -> Mapping[str, float]:
-        times = road_assignment(net, statuses).link_time if congested else None
-        return MappingProxyType(road_distances(net, origin, statuses, times, failed_factor))
+        times = road_assignment(net, road_state).link_time if failed_factor is None else None
+        return MappingProxyType(road_distances(net, origin, net.key_statuses(road_state), times, failed_factor))
 
-    return net.cached(("crew_distances", origin, road_state, congested, failed_factor), compute)
-
-
-def _post_failure_travel(net, statuses) -> Callable[[str, str], float]:
-    """Congested origin->destination times under current road conditions,
-    read from the crew distances of the post-failure road state. The
-    assignment behind them is solved here, so its errors raise here."""
-    road_assignment(net, statuses)
-    return lambda origin, destination: crew_distances(net, origin, statuses)[destination]
+    return net.cached(("crew_distances", origin, road_state, failed_factor), compute)
 
 
 def build_planning_context(
@@ -138,11 +137,7 @@ def build_planning_context(
     crews: list[Crew] | None = None,
     failed: set[str] | frozenset[str] = frozenset(),
 ) -> PlanningContext:
-    """Pre-disaster flow solutions plus crew starts.
-
-    A network's crew start, where ``crew_distance`` measures from, is
-    the garage of its least-id crew, so the order of ``crews`` changes
-    no ranking.
+    """Pre-disaster flow solutions plus crew travel times.
 
     Peak flows come from undisrupted solver runs (an hour of hydraulics
     to catch tank-driven drift, one dispatch, one assignment). They
@@ -150,19 +145,17 @@ def build_planning_context(
     shared by later calls; the dispatch and the assignment are the memo
     entries that runs read for their undisrupted and fully repaired
     states. Travel times are congested times under the post-failure road
-    network, since that is what a crew leaving its garage actually
-    faces; the assignment and the crew distances behind them are found
-    once per network and road state, and shared with
-    ``build_event_table``.
+    state, keyed here once, since that is what a crew leaving its garage
+    actually faces. Its assignment is solved here, so its errors raise
+    here, and its crew distances are the memo entries that
+    ``build_event_table`` reads for its first crew choices.
     """
     crews = crews if crews is not None else default_crews(net)
     peak = net.cached(("peak_flow",), lambda: _peak_flows(net))
-    statuses = {cid: STATUS_FAILED for cid in failed}
-    return PlanningContext(
-        peak_flow=dict(peak),
-        crew_start={c.network: c.location for c in sorted(crews, key=lambda c: c.id, reverse=True)},
-        travel_time=_post_failure_travel(net, statuses),
-    )
+    road_state = net.service_key(TRAFFIC, {cid: STATUS_FAILED for cid in failed})
+    garages = {c.network: c.location for c in sorted(crews, key=lambda c: c.id, reverse=True)}
+    travel = {network: crew_distances(net, garage, road_state) for network, garage in garages.items()}
+    return PlanningContext(peak_flow=dict(peak), crew_travel=travel)
 
 
 def _peak_flows(net: IntegratedNetwork) -> dict[str, float]:
@@ -176,7 +169,7 @@ def _peak_flows(net: IntegratedNetwork) -> dict[str, float]:
     for bid, q in power.line_flow.items():
         peak[bid] = abs(q)
 
-    for lid, x in road_assignment(net, {}).link_flow.items():
+    for lid, x in road_assignment(net, frozenset()).link_flow.items():
         peak[lid] = abs(x)
     return peak
 
@@ -287,10 +280,10 @@ def rank_components(
             scores = _network_betweenness(net, network)
             key = lambda c: (-scores.get(c.id, 0.0), c.id)
         elif strategy == "crew_distance":
-            if network not in context.crew_start:
-                raise RecoveryError(f"crew_distance needs a crew start for {network} in the context")
-            start = context.crew_start[network]
-            key = lambda c: (context.travel_time(start, access_node(net, c.id)), c.id)
+            if network not in context.crew_travel:
+                raise RecoveryError(f"crew_distance needs crew travel times for {network} in the context")
+            travel = context.crew_travel[network]
+            key = lambda c: (travel[access_node(net, c.id)], c.id)
         else:  # zone
             key = lambda c: (
                 -net.zone_priority_of(access_node(net, c.id)), -_peak(context, c.id), c.id

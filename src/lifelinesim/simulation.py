@@ -225,9 +225,9 @@ def build_event_table(
     reach over in-service road links, and books travel (congested
     shortest path) plus the repair; inaccessible components are deferred
     in favor of later accessible ones. A crew that can reach none waits
-    for the next booked road repair to end. Travel times refresh after
-    every road-link repair, read from the network memo's crew distances
-    of each road state (``crew_distances``). Crews become available at
+    for the next booked road repair to end. Travel times are the memo's
+    crew distances (``crew_distances``) of the road state, keyed when the
+    schedule starts and at each road opening. Crews become available at
     the disaster occurrence time.
 
     When every crew is stuck with road repairs pending, the earliest-free
@@ -284,12 +284,15 @@ def build_event_table(
         return min((c for c in crew_list if c.network in networks), key=lambda c: (c.busy_until, c.id))
 
     statuses: dict[str, str] = {f.component_id: STATUS_FAILED for f in scenario.failures}
+    road_state: frozenset  # IntegratedNetwork.service_key(TRAFFIC, statuses)
 
     def solve_roads() -> None:
-        """Solve the assignment of each road state as it arises, so that a
-        failure raises here and not in whatever routes crews first."""
+        """Key and solve each road state as it arises, so that a failure
+        raises here and not in whatever routes crews first."""
+        nonlocal road_state
+        road_state = net.service_key(TRAFFIC, statuses)
         try:
-            net.cached(link_times_key(net, statuses), lambda: assign_traffic(net, statuses))
+            net.cached(link_times_key(road_state), lambda: assign_traffic(net, statuses))
         except TrafficAssignmentError as exc:
             raise SimulationError(f"traffic assignment failed during scheduling: {exc}") from exc
 
@@ -304,7 +307,7 @@ def build_event_table(
             solve_roads()
 
     def first_accessible(crew: Crew) -> tuple[str, float] | None:
-        dist = crew_distances(net, crew.location, statuses)
+        dist = crew_distances(net, crew.location, road_state)
         for cid in pending[crew.network]:
             travel = dist[access_node(net, cid)]
             if math.isfinite(travel):
@@ -331,10 +334,7 @@ def build_event_table(
         if TRAFFIC not in pending:
             return False
         road_crew = earliest((TRAFFIC,))
-        apply_openings(road_crew.busy_until)
-        dist = crew_distances(
-            net, road_crew.location, statuses, congested=False, failed_factor=BLOCKED_ROAD_FACTOR
-        )
+        dist = crew_distances(net, road_crew.location, road_state, BLOCKED_ROAD_FACTOR)
         best = None
         for cid in pending[TRAFFIC]:
             travel = dist[access_node(net, cid)]
@@ -355,9 +355,8 @@ def build_event_table(
         if found is not None:
             book(crew, *found)
             continue
-        upcoming = [end for end, _ in booked_roads if end > crew.busy_until + _TIME_TOL]
-        if upcoming:
-            crew.busy_until = upcoming[0]  # wait for the next road to open
+        if booked_roads:  # all open after crew.busy_until: wait for the first
+            crew.busy_until = booked_roads[0][0]
             continue
         if not force_road_crew():
             raise SimulationError(
@@ -392,10 +391,8 @@ class SimulationResult:
             return 0.0
         return metrics.system_eoh(self.series(network), self.occurrence_time, self.horizon, measure)
 
-    def weighted_eoh(self, weights: dict[str, float] | None = None, measure: str = "pcs") -> float:
-        return metrics.weighted_eoh(
-            {WATER: self.eoh(WATER, measure), POWER: self.eoh(POWER, measure)}, weights
-        )
+    def weighted_eoh(self) -> float:
+        return metrics.weighted_eoh({WATER: self.eoh(WATER), POWER: self.eoh(POWER)})
 
 
 def _status_timeline(table: EventTable) -> dict[float, list[EventRow]]:

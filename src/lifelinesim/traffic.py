@@ -273,9 +273,9 @@ def assign_traffic(
     )
 
 
-def link_times_key(net: IntegratedNetwork, component_statuses: dict[str, str]) -> tuple:
+def link_times_key(road_state: frozenset) -> tuple:
     """Memo key of the ``TrafficState`` ``assign_traffic`` returns with
-    its default parameters: the road links whose in-service flag the
-    statuses change (``IntegratedNetwork.service_key``)."""
-    return ("link_times", net.service_key(TRAFFIC, component_statuses))
+    its default parameters under ``road_state``: the road links whose
+    in-service flag the statuses change (``IntegratedNetwork.service_key``)."""
+    return ("link_times", road_state)
 

@@ -5,8 +5,9 @@ read, the CLI's import path stays clear of slow modules, no package
 module imports the test-oracle module ``graphs``, every binding the
 benchmark's tracer wraps still exists, the memo kinds the tests allow
 are the ones the package uses, every kind the package asks a network
-for is one of that network's kinds, and every kind of the schema is
-built by the testbed or a test."""
+for is one of that network's kinds, every kind of the schema is built
+by the testbed or a test, and only memo keys and the two road-state
+boundaries derive a ``service_key``."""
 
 import argparse
 import ast
@@ -167,6 +168,21 @@ def _kinds_built_in_tests() -> set[str]:
     return kinds
 
 
+def _service_key_callers() -> set[str]:
+    """``module.function`` for every top-level package function, or
+    method, whose body (nested functions included) calls ``service_key``."""
+    callers = set()
+    for path in sorted((ROOT / "src" / "lifelinesim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        functions = [node for c in [tree, *classes] for node in c.body if isinstance(node, ast.FunctionDef)]
+        for fn in functions:
+            if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "service_key" for node in ast.walk(fn)):
+                callers.add(f"{path.stem}.{fn.name}")
+    return callers
+
+
 def test_scan_covers_package_tests_and_demos():
     dirs = {p.parent.name for p in _scanned_files()}
     assert dirs == {"lifelinesim", "tests", "demos"}
@@ -259,3 +275,15 @@ def test_every_schema_kind_is_built_somewhere():
     # feature that nothing checks
     built = {c.kind for c in build_simple_testbed().components} | _kinds_built_in_tests()
     assert sorted(set(network.KINDS) - built) == []
+
+
+def test_service_key_is_derived_only_at_memo_keys_and_road_state_boundaries():
+    # a road state is keyed where it arises, when planning starts and as
+    # the scheduler opens roads, and passed on; crew routing and the
+    # assignment lookup take that key instead of re-deriving it
+    assert _service_key_callers() == {
+        "hydraulics.system_key",
+        "powerflow.dispatch_key",
+        "recovery.build_planning_context",
+        "simulation.build_event_table",
+    }

@@ -356,11 +356,10 @@ class TestPlanningContext:
     def test_travel_time_cached_and_positive(self, net):
         failed = {"WP-W1-W2"}
         ctx = build_planning_context(net, default_crews(net), failed)
-        t1 = ctx.travel_time("T5", "T2")
-        t2 = ctx.travel_time("T5", "T2")
-        assert t1 == t2
-        assert t1 > 0.0
-        assert ctx.travel_time("T5", "T5") == 0.0
+        travel = ctx.crew_travel["water"]  # from the default garage, T5
+        assert build_planning_context(net, default_crews(net), failed).crew_travel["water"] is travel
+        assert travel["T2"] > 0.0
+        assert travel["T5"] == 0.0
 
     def test_peak_flows_cover_failed_components(self, net):
         failed = {"PL1", "WP-W1-W2", "TL-T5-T2"}

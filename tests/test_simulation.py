@@ -399,6 +399,27 @@ class TestScheduling:
                                                   r"\['PW'\] even after every road repair"):
             build_event_table(one_way, _scenario([("PW", "leak")]), {WATER: ["PW"]}, crews=crews)
 
+    @pytest.mark.parametrize("count, seed", [(6, 1), (12, 5)])
+    def test_each_road_state_is_keyed_once(self, monkeypatch, count, seed):
+        # the road state is keyed when the schedule starts and at each
+        # road opening, not at every crew choice
+        net = build_simple_testbed()
+        scenario = sample_scenario(net, HazardEvent(kind="random", intensity="extreme", count=count), seed=seed)
+        failed = {f.component_id for f in scenario.failures}
+        order = rank_components(net, failed, "max_flow", build_planning_context(net, None, failed))
+        roads = sum(net.component(cid).kind == "road_link" for cid in failed)
+        keyed = []
+        service_key = IntegratedNetwork.service_key
+
+        def counting(self, network, statuses):
+            keyed.append(network)
+            return service_key(self, network, statuses)
+
+        monkeypatch.setattr(IntegratedNetwork, "service_key", counting)
+        build_event_table(net, scenario, order)
+        assert roads >= 3
+        assert keyed.count(TRAFFIC) <= 1 + roads
+
 
 class TestSolverErrorsWrapped:
     """Each solver's error surfaces as a ``SimulationError`` caused by it."""

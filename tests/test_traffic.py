@@ -396,23 +396,23 @@ class TestRoadDistances:
 def crew_queries(net):
     """Every crew-distance query the scheduler can make on a seeded
     6-failure scenario with three failed road links, with its answer from
-    fresh ``road_distances`` calls: each road state (each failed link
-    failed, under repair or repaired), each origin, and each metric
-    (congested; free-flow crossing blocked links at 5x)."""
+    fresh ``road_distances`` calls: each road state, keyed by
+    ``service_key`` (each failed link failed, under repair or repaired),
+    each origin, and each metric (congested; free-flow crossing blocked
+    links at 5x)."""
     scenario = sample_scenario(net, HazardEvent(kind="random", intensity="extreme", count=6), seed=1)
     failed = {f.component_id: "failed" for f in scenario.failures}
     roads = sorted(cid for cid in failed if net.component(cid).kind == "road_link")
     assert len(roads) == 3
-    metrics = [(True, None), (False, simulation.BLOCKED_ROAD_FACTOR)]
     queries = []
     for flags in itertools.product(("failed", "under_repair", "repaired"), repeat=len(roads)):
         statuses = {**failed, **dict(zip(roads, flags))}
         congested = assign_traffic(net, statuses).link_time
         for origin in net.nodes_of(TRAFFIC):
-            for use_congested, factor in metrics:
-                times = congested if use_congested else None
+            for factor in (None, simulation.BLOCKED_ROAD_FACTOR):
+                times = congested if factor is None else None
                 want = road_distances(net, origin.id, statuses, times, factor)
-                queries.append(((origin.id, statuses, use_congested, factor), want))
+                queries.append(((origin.id, net.service_key(TRAFFIC, statuses), factor), want))
     return queries
 
 
