@@ -22,6 +22,7 @@ evaluator keeps a score per ledger instead, and no series.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, replace
@@ -228,7 +229,7 @@ def build_event_table(
     for the next booked road repair to end. Travel times are the memo's
     crew distances (``crew_distances``) of the road state, keyed when the
     schedule starts and at each road opening. Crews become available at
-    the disaster occurrence time.
+    the disaster occurrence time. ``_Schedule`` holds the loop's state.
 
     When every crew is stuck with road repairs pending, the earliest-free
     road crew's next task is forced to its nearest failed road link
@@ -255,11 +256,6 @@ def build_event_table(
             raise SimulationError(f"repair order for {network} misses failed components {missing}")
 
     occurrence = scenario.event.occurrence_time
-    rows = [
-        EventRow(f.time, f.component_id, ACTION_FAIL)
-        for f in sorted(scenario.failures, key=lambda f: f.component_id)
-    ]
-
     crew_list = [replace(c) for c in (crews if crews is not None else default_crews(net))]
     garages = {z.id for z in net.nodes_of(TRAFFIC)}
     seen: set[str] = set()
@@ -273,98 +269,86 @@ def build_event_table(
         seen.add(crew.id)
         crew.busy_until = max(crew.busy_until, occurrence)
 
-    pending: dict[str, list[str]] = {
-        network: list(order) for network, order in sorted(repair_order.items()) if order
-    }
+    pending = {network: list(order) for network, order in sorted(repair_order.items()) if order}
     for network, order in pending.items():
         if not any(c.network == network for c in crew_list):
             raise SimulationError(f"no crew serves {network}, whose repair order lists {order}")
 
-    def earliest(networks) -> Crew:
-        return min((c for c in crew_list if c.network in networks), key=lambda c: (c.busy_until, c.id))
+    schedule = _Schedule(net, scenario, crew_list, pending, durations)
+    while schedule.pending:
+        schedule.book(*schedule.next_choice())
+    return EventTable(tuple(schedule.rows))
 
-    statuses: dict[str, str] = {f.component_id: STATUS_FAILED for f in scenario.failures}
-    road_state: frozenset  # IntegratedNetwork.service_key(TRAFFIC, statuses)
 
-    def solve_roads() -> None:
+class _Schedule:
+    """The scheduling loop's state: the crews, each network's ``pending``
+    order, the component ``statuses`` and their keyed ``road_state``, the
+    ledger ``rows``, and ``events``, the booked road openings not yet
+    applied, as ``(time, link_id)`` in time order."""
+
+    def __init__(self, net, scenario, crews, pending, durations):
+        self.net, self.crews, self.pending, self.durations = net, crews, pending, durations
+        failures = sorted(scenario.failures, key=lambda f: f.component_id)
+        self.rows = [EventRow(f.time, f.component_id, ACTION_FAIL) for f in failures]
+        self.statuses = {f.component_id: STATUS_FAILED for f in failures}
+        self.events: list[tuple[float, str]] = []
+        self._key_roads()
+
+    def _key_roads(self) -> None:
         """Key and solve each road state as it arises, so that a failure
         raises here and not in whatever routes crews first."""
-        nonlocal road_state
-        road_state = net.service_key(TRAFFIC, statuses)
+        self.road_state = self.net.service_key(TRAFFIC, self.statuses)
         try:
-            net.cached(link_times_key(road_state), lambda: assign_traffic(net, statuses))
+            self.net.cached(link_times_key(self.road_state), lambda: assign_traffic(self.net, self.statuses))
         except TrafficAssignmentError as exc:
             raise SimulationError(f"traffic assignment failed during scheduling: {exc}") from exc
 
-    solve_roads()
-    # road repairs already booked but not yet open: (end_time, link_id)
-    booked_roads: list[tuple[float, str]] = []
+    def earliest(self, networks) -> Crew:
+        return min((c for c in self.crews if c.network in networks), key=lambda c: (c.busy_until, c.id))
 
-    def apply_openings(now: float) -> None:
-        while booked_roads and booked_roads[0][0] <= now + _TIME_TOL:
-            _, link_id = booked_roads.pop(0)
-            statuses[link_id] = STATUS_REPAIRED
-            solve_roads()
+    def next_choice(self) -> tuple[Crew, str, float]:
+        """Advance to the next crew decision: the crew, the component it
+        takes and its travel time. Road repairs that have ended by the
+        deciding crew's ``busy_until`` open first."""
+        while True:
+            crew = self.earliest(self.pending)
+            while self.events and self.events[0][0] <= crew.busy_until + _TIME_TOL:
+                self.statuses[self.events.pop(0)[1]] = STATUS_REPAIRED
+                self._key_roads()
+            dist = crew_distances(self.net, crew.location, self.road_state)
+            for cid in self.pending[crew.network]:
+                if math.isfinite(travel := dist[access_node(self.net, cid)]):
+                    return crew, cid, travel
+            if self.events:  # all open after crew.busy_until: wait for the first
+                crew.busy_until = self.events[0][0]
+                continue
+            if TRAFFIC not in self.pending:
+                raise SimulationError(
+                    f"crew {crew.id} at {crew.location} cannot reach any of "
+                    f"{self.pending[crew.network]} even after every road repair"
+                )
+            # deadlock break: the earliest-free road crew goes to its
+            # nearest blocked link, crossing blocked links
+            road_crew = self.earliest((TRAFFIC,))
+            dist = crew_distances(self.net, road_crew.location, self.road_state, BLOCKED_ROAD_FACTOR)
+            travel, cid = min((dist[access_node(self.net, cid)], cid) for cid in self.pending[TRAFFIC])
+            if not math.isfinite(travel):
+                raise SimulationError(f"road crew at {road_crew.location} cannot reach any failed road link")
+            return road_crew, cid, travel
 
-    def first_accessible(crew: Crew) -> tuple[str, float] | None:
-        dist = crew_distances(net, crew.location, road_state)
-        for cid in pending[crew.network]:
-            travel = dist[access_node(net, cid)]
-            if math.isfinite(travel):
-                return cid, travel
-        return None
-
-    def book(crew: Crew, cid: str, travel: float) -> None:
-        comp = net.component(cid)
+    def book(self, crew: Crew, cid: str, travel: float) -> None:
+        """``crew`` drives ``travel`` seconds to ``cid`` and repairs it."""
+        comp = self.net.component(cid)
         start = crew.busy_until + travel
-        end = start + repair_duration(comp.kind, durations)
-        rows.append(EventRow(start, cid, ACTION_REPAIR_START, crew.id))
-        rows.append(EventRow(end, cid, ACTION_REPAIR_END, crew.id))
-        crew.location = access_node(net, cid)
-        crew.busy_until = end
-        pending[crew.network].remove(cid)
-        if not pending[crew.network]:
-            del pending[crew.network]
+        end = start + repair_duration(comp.kind, self.durations)
+        self.rows.append(EventRow(start, cid, ACTION_REPAIR_START, crew.id))
+        self.rows.append(EventRow(end, cid, ACTION_REPAIR_END, crew.id))
+        crew.location, crew.busy_until = access_node(self.net, cid), end
+        self.pending[crew.network].remove(cid)
+        if not self.pending[crew.network]:
+            del self.pending[crew.network]
         if comp.kind == "road_link":
-            booked_roads.append((end, cid))
-            booked_roads.sort()
-
-    def force_road_crew() -> bool:
-        """Deadlock break: send the earliest-free road crew to its nearest blocked link."""
-        if TRAFFIC not in pending:
-            return False
-        road_crew = earliest((TRAFFIC,))
-        dist = crew_distances(net, road_crew.location, road_state, BLOCKED_ROAD_FACTOR)
-        best = None
-        for cid in pending[TRAFFIC]:
-            travel = dist[access_node(net, cid)]
-            if best is None or (travel, cid) < best[:2]:
-                best = (travel, cid)
-        travel, cid = best
-        if not math.isfinite(travel):
-            raise SimulationError(
-                f"road crew at {road_crew.location} cannot reach any failed road link"
-            )
-        book(road_crew, cid, travel)
-        return True
-
-    while pending:
-        crew = earliest(pending)
-        apply_openings(crew.busy_until)
-        found = first_accessible(crew)
-        if found is not None:
-            book(crew, *found)
-            continue
-        if booked_roads:  # all open after crew.busy_until: wait for the first
-            crew.busy_until = booked_roads[0][0]
-            continue
-        if not force_road_crew():
-            raise SimulationError(
-                f"crew {crew.id} at {crew.location} cannot reach any of "
-                f"{pending[crew.network]} even after every road repair"
-            )
-
-    return EventTable(tuple(rows))
+            bisect.insort(self.events, (end, cid))
 
 
 # ---------------------------------------------------------------------------

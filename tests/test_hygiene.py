@@ -285,5 +285,5 @@ def test_service_key_is_derived_only_at_memo_keys_and_road_state_boundaries():
         "hydraulics.system_key",
         "powerflow.dispatch_key",
         "recovery.build_planning_context",
-        "simulation.build_event_table",
+        "simulation._key_roads",
     }
