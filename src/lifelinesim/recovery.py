@@ -65,7 +65,8 @@ class Crew:
 
     ``build_event_table`` takes a list of crews, any number per network,
     with distinct ids; the earliest free (``busy_until``, then ``id``)
-    goes next."""
+    goes next, unless it can reach none of its work and another crew is
+    free at the same instant."""
 
     id: str
     network: str

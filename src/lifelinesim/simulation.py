@@ -225,16 +225,17 @@ def build_event_table(
     the first component of its network's order whose access node it can
     reach over in-service road links, and books travel (congested
     shortest path) plus the repair; inaccessible components are deferred
-    in favor of later accessible ones. A crew that can reach none waits
-    for the next booked road repair to end. Travel times are the memo's
-    crew distances (``crew_distances``) of the road state, keyed when the
-    schedule starts and at each road opening. Crews become available at
-    the disaster occurrence time. ``_Schedule`` holds the loop's state.
-
-    When every crew is stuck with road repairs pending, the earliest-free
-    road crew's next task is forced to its nearest failed road link
-    (free-flow metric, blocked links passable at 5x). A crew that cannot
-    reach its work even after every road repair is an error.
+    in favor of later accessible ones. A crew that can reach none stands
+    aside while another crew free at the same instant tries; when every
+    crew free then is stuck, they wait for the next road opening or the
+    next crew to come free, and with nothing left to wait for, the
+    earliest-free road crew is sent to its nearest failed road link
+    (free-flow metric, blocked links passable at 5x). Travel times are the
+    memo's crew distances (``crew_distances``) of the road state, keyed
+    when the schedule starts and at each road opening. Crews become
+    available at the disaster occurrence time; ``_Schedule`` holds the
+    loop's state. A crew that cannot reach its work even after every road
+    repair is an error.
 
     The order of each network must list every failed component of that
     network exactly once, and a network with failures that the order
@@ -303,15 +304,31 @@ class _Schedule:
         except TrafficAssignmentError as exc:
             raise SimulationError(f"traffic assignment failed during scheduling: {exc}") from exc
 
-    def earliest(self, networks) -> Crew:
-        return min((c for c in self.crews if c.network in networks), key=lambda c: (c.busy_until, c.id))
+    def earliest(self, networks, skip=()) -> Crew | None:
+        crews = (c for c in self.crews if c.network in networks and c not in skip)
+        return min(crews, key=lambda c: (c.busy_until, c.id), default=None)
 
     def next_choice(self) -> tuple[Crew, str, float]:
         """Advance to the next crew decision: the crew, the component it
-        takes and its travel time. Road repairs that have ended by the
-        deciding crew's ``busy_until`` open first."""
-        while True:
-            crew = self.earliest(self.pending)
+        takes and its travel time.
+
+        The earliest-free crew with work left opens the road repairs that
+        have ended by its ``busy_until`` and tries its order. A crew that
+        can reach none of its work stands aside while another crew with
+        work left, free at the same instant, tries. When every crew free
+        at that instant is stuck, they all wait for the next event: the
+        next road opening, or the next time another crew with work left
+        comes free. With no event left, the deadlock break sends the
+        earliest-free road crew to its nearest blocked link."""
+        stuck: list[Crew] = []  # crews that can reach none of their work at stuck[0].busy_until
+        while (crew := self.earliest(self.pending, stuck)) or self.events:
+            if stuck and (crew is None or crew.busy_until > stuck[0].busy_until + _TIME_TOL):
+                # every crew free at this instant is stuck: wait for the next event
+                wake = min([t for t, _ in self.events[:1]] + ([crew.busy_until] if crew else []))
+                for c in stuck:
+                    c.busy_until = wake
+                stuck = []
+                continue
             while self.events and self.events[0][0] <= crew.busy_until + _TIME_TOL:
                 self.statuses[self.events.pop(0)[1]] = STATUS_REPAIRED
                 self._key_roads()
@@ -319,22 +336,19 @@ class _Schedule:
             for cid in self.pending[crew.network]:
                 if math.isfinite(travel := dist[access_node(self.net, cid)]):
                     return crew, cid, travel
-            if self.events:  # all open after crew.busy_until: wait for the first
-                crew.busy_until = self.events[0][0]
-                continue
-            if TRAFFIC not in self.pending:
-                raise SimulationError(
-                    f"crew {crew.id} at {crew.location} cannot reach any of "
-                    f"{self.pending[crew.network]} even after every road repair"
-                )
-            # deadlock break: the earliest-free road crew goes to its
-            # nearest blocked link, crossing blocked links
-            road_crew = self.earliest((TRAFFIC,))
-            dist = crew_distances(self.net, road_crew.location, self.road_state, BLOCKED_ROAD_FACTOR)
-            travel, cid = min((dist[access_node(self.net, cid)], cid) for cid in self.pending[TRAFFIC])
-            if not math.isfinite(travel):
-                raise SimulationError(f"road crew at {road_crew.location} cannot reach any failed road link")
-            return road_crew, cid, travel
+            stuck.append(crew)
+        if TRAFFIC not in self.pending:
+            crew = stuck[0]
+            raise SimulationError(f"crew {crew.id} at {crew.location} cannot reach any of "
+                                  f"{self.pending[crew.network]} even after every road repair")
+        # every crew with work left is stuck: the earliest-free road crew
+        # goes to its nearest blocked link, crossing blocked links
+        road_crew = self.earliest((TRAFFIC,))
+        dist = crew_distances(self.net, road_crew.location, self.road_state, BLOCKED_ROAD_FACTOR)
+        travel, cid = min((dist[access_node(self.net, cid)], cid) for cid in self.pending[TRAFFIC])
+        if not math.isfinite(travel):
+            raise SimulationError(f"road crew at {road_crew.location} cannot reach any failed road link")
+        return road_crew, cid, travel
 
     def book(self, crew: Crew, cid: str, travel: float) -> None:
         """``crew`` drives ``travel`` seconds to ``cid`` and repairs it."""

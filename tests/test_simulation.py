@@ -379,9 +379,9 @@ class TestScheduling:
         with pytest.raises(SimulationError, match=r"repair order for water misses failed components \['PW'\]"):
             build_event_table(blockage_net, scenario, {TRAFFIC: ["RL-Z2-Z3"]})
 
-    def test_work_out_of_reach_after_every_road_repair_rejected(self):
-        # a one-way road leads from Z1, where the pipe is, to Z2, where
-        # the crew is: no road repair can bring the crew back
+    @staticmethod
+    def _one_way_net():
+        """A one-way road leads from Z1, where the pipe is, to Z2."""
         comps = [
             Component("Z1", TRAFFIC, "zone_node", (0.0, 0.0)),
             Component("Z2", TRAFFIC, "zone_node", (1000.0, 0.0)),
@@ -393,11 +393,76 @@ class TestScheduling:
             Component("PW", WATER, "pipe", (0, 0),
                       {"length": 100.0, "diameter": 0.2, "roughness": 120.0}, ends=("WRX", "JX")),
         ]
-        one_way = IntegratedNetwork(comps, [], od_matrix={})
+        return IntegratedNetwork(comps, [], od_matrix={})
+
+    def test_work_out_of_reach_after_every_road_repair_rejected(self):
+        # the crew is at Z2: no road repair can bring it back to the pipe
         crews = [Crew(id="water-crew-1", network=WATER, location="Z2")]
         with pytest.raises(SimulationError, match=r"crew water-crew-1 at Z2 cannot reach any of "
                                                   r"\['PW'\] even after every road repair"):
-            build_event_table(one_way, _scenario([("PW", "leak")]), {WATER: ["PW"]}, crews=crews)
+            build_event_table(self._one_way_net(), _scenario([("PW", "leak")]), {WATER: ["PW"]}, crews=crews)
+
+    def test_crew_that_can_reach_the_work_takes_it(self):
+        # water-crew-1 at Z2 can never reach the pipe; water-crew-2, free
+        # at the same instant at Z1, repairs it
+        crews = [Crew(id="water-crew-1", network=WATER, location="Z2"),
+                 Crew(id="water-crew-2", network=WATER, location="Z1")]
+        table = build_event_table(self._one_way_net(), _scenario([("PW", "leak")]), {WATER: ["PW"]},
+                                  crews=crews)
+        assert [(r.time, r.component_id, r.action, r.crew_id) for r in table.rows if r.crew_id] == [
+            (3600.0, "PW", ACTION_REPAIR_START, "water-crew-2"),
+            (18000.0, "PW", ACTION_REPAIR_END, "water-crew-2"),
+        ]
+
+    def test_road_crew_free_beside_a_stuck_crew_follows_its_order(self):
+        # zones Z5, Z1, Z2, Z3, Z4 in a line, 60 s apart; the power line
+        # at Z4 is cut off by RL-Z3-Z4. The power crew is stuck at 3600 s,
+        # and the road crew, free at the same instant, takes RL-Z3-Z4, its
+        # order's first link, not RL-Z5-Z1, the nearest blocked link
+        comps = [Component(f"Z{i}", TRAFFIC, "zone_node", (x, 0.0))
+                 for i, x in ((5, -100.0), (1, 0.0), (2, 100.0), (3, 200.0), (4, 300.0))]
+        for a, b in (("Z5", "Z1"), ("Z1", "Z2"), ("Z2", "Z3"), ("Z3", "Z4")):
+            _road(comps, a, b)
+        comps += [
+            Component("B1", POWER, "bus", (290.0, 20.0)),
+            Component("B2", POWER, "bus", (310.0, 20.0)),
+            Component("LN", POWER, "line", (0, 0), {"susceptance": 80.0, "limit_mw": 100.0},
+                      ends=("B1", "B2")),
+        ]
+        net = IntegratedNetwork(comps, [], od_matrix={})
+        crews = [Crew(id="power-crew-1", network=POWER, location="Z1"),
+                 Crew(id="traffic-crew-1", network=TRAFFIC, location="Z1")]
+        scenario = _scenario([("LN", "full"), ("RL-Z3-Z4", "full"), ("RL-Z5-Z1", "full")])
+        table = build_event_table(net, scenario, {POWER: ["LN"], TRAFFIC: ["RL-Z3-Z4", "RL-Z5-Z1"]},
+                                  crews=crews, durations={"road_link": 1800.0, "line": 3600.0})
+        assert [(r.time, r.component_id, r.action, r.crew_id) for r in table.rows if r.crew_id] == [
+            (3720.0, "RL-Z3-Z4", ACTION_REPAIR_START, "traffic-crew-1"),
+            (5520.0, "RL-Z3-Z4", ACTION_REPAIR_END, "traffic-crew-1"),
+            (5640.0, "RL-Z5-Z1", ACTION_REPAIR_START, "traffic-crew-1"),
+            (5700.0, "LN", ACTION_REPAIR_START, "power-crew-1"),
+            (7440.0, "RL-Z5-Z1", ACTION_REPAIR_END, "traffic-crew-1"),
+            (9300.0, "LN", ACTION_REPAIR_END, "power-crew-1"),
+        ]
+        assert table.validate() == []
+
+    def test_stuck_crew_waits_for_the_next_crew_to_come_free(self, blockage_net):
+        # the water crew, stuck at 3600 s behind RL-Z2-Z3, waits for
+        # traffic-crew-2 to come free at 3630 s, not for RL-Z1-Z2 to open:
+        # traffic-crew-2 then books RL-Z2-Z3, which opens first
+        crews = [Crew(id="water-crew-1", network=WATER, location="Z2"),
+                 Crew(id="traffic-crew-1", network=TRAFFIC, location="Z2"),
+                 Crew(id="traffic-crew-2", network=TRAFFIC, location="Z2", busy_until=3630.0)]
+        scenario = _scenario([("PW", "leak"), ("RL-Z1-Z2", "full"), ("RL-Z2-Z3", "full")])
+        table = build_event_table(blockage_net, scenario, {WATER: ["PW"], TRAFFIC: ["RL-Z1-Z2", "RL-Z2-Z3"]},
+                                  crews=crews, durations={"road_link": 1800.0, "pipe": 3600.0})
+        assert [(r.time, r.component_id, r.action, r.crew_id) for r in table.rows if r.crew_id] == [
+            (3630.0, "RL-Z2-Z3", ACTION_REPAIR_START, "traffic-crew-2"),
+            (3660.0, "RL-Z1-Z2", ACTION_REPAIR_START, "traffic-crew-1"),
+            (5430.0, "RL-Z2-Z3", ACTION_REPAIR_END, "traffic-crew-2"),
+            (5460.0, "RL-Z1-Z2", ACTION_REPAIR_END, "traffic-crew-1"),
+            (5490.0, "PW", ACTION_REPAIR_START, "water-crew-1"),
+            (9090.0, "PW", ACTION_REPAIR_END, "water-crew-1"),
+        ]
 
     @pytest.mark.parametrize("count, seed", [(6, 1), (12, 5)])
     def test_each_road_state_is_keyed_once(self, monkeypatch, count, seed):
@@ -821,28 +886,43 @@ class _ReferenceScheduler:
             self.road_ends.append((end, cid))
 
     def ledger(self):
+        tol = simulation._TIME_TOL
+        stuck = set()  # ids of the crews that can reach none of their work now
         while self.todo:
-            # the earliest-free crew with work left takes the first
-            # component of its order that it can reach
-            crew = self.earliest(self.todo)
-            self.open_roads(crew.busy_until)
-            travel = self.travel(crew.location)
-            reachable = [(cid, travel(cid)) for cid in self.todo[crew.network] if math.isfinite(travel(cid))]
-            if reachable:
-                self.book(crew, *reachable[0])
+            working = [c for c in self.crews if c.network in self.todo]
+            now = min(c.busy_until for c in working)
+            free = [c for c in working if c.busy_until <= now + tol and c.id not in stuck]
+            if free:
+                # the earliest-free crew with work left takes the first
+                # component of its order that it can reach
+                crew = min(free, key=lambda c: (c.busy_until, c.id))
+                self.open_roads(crew.busy_until)
+                travel = self.travel(crew.location)
+                reachable = [(cid, travel(cid)) for cid in self.todo[crew.network] if math.isfinite(travel(cid))]
+                if reachable:
+                    self.book(crew, *reachable[0])
+                    stuck.clear()
+                else:  # or stands aside while another crew free now tries
+                    stuck.add(crew.id)
                 continue
-            # or waits for the next road to open
-            later = [end for end, _ in self.road_ends if end > crew.busy_until + simulation._TIME_TOL]
+            # every crew free now is stuck: they all wait for the next road
+            # repair to end, or for another crew with work left to come free
+            later = [end for end, _ in self.road_ends if end > now + tol]
+            later += [c.busy_until for c in working if c.busy_until > now + tol]
             if later:
-                crew.busy_until = min(later)
+                for crew in working:
+                    if crew.id in stuck:
+                        crew.busy_until = min(later)
+                stuck.clear()
                 continue
-            # or, with nothing left to wait for, the earliest-free road crew
+            # with nothing left to wait for, the earliest-free road crew
             # goes to its nearest blocked link, crossing blocked links
             road_crew = self.earliest((TRAFFIC,))
             self.open_roads(road_crew.busy_until)
             travel = self.travel(road_crew.location, free_flow=True)
             cost, cid = min((travel(cid), cid) for cid in self.todo[TRAFFIC])
             self.book(road_crew, cid, cost)
+            stuck.clear()
         return EventTable(tuple(self.rows)).rows
 
 
@@ -885,10 +965,12 @@ class TestReferenceScheduler:
         crew_lists = [default_crews(net), _second_crews(net, garage)]
         self._assert_agree(net, scenario, ("max_flow", "centrality"), crew_lists)
 
-    @pytest.mark.parametrize("seed", [6, 8, 23])
+    @pytest.mark.parametrize("seed", [6, 8, 23, 38])
     def test_deadlock_break_seeds(self, net, seed):
-        # the seeds of test_traffic's scheduler ledgers, where the road
-        # crew is sent across blocked links
+        # seeds 6, 8 and 38 are test_traffic's scheduler-ledger seeds,
+        # where the road crew is sent across blocked links; at seed 23 it
+        # is not: the power crew is stuck, and the road crew, free at the
+        # same instant, takes the next link of its own order
         scenario = sample_scenario(net, HazardEvent(kind="random", intensity="extreme", count=6), seed=seed)
         crew_lists = [default_crews(net), _second_crews(net)]
         self._assert_agree(net, scenario, ("max_flow", "centrality"), crew_lists)

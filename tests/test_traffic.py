@@ -363,7 +363,7 @@ class TestRoadDistances:
     FORCE_ROAD_CREW = (True, 5.0)  # (no congested times, factor)
 
     @pytest.mark.parametrize(
-        "seed, fallbacks", [(6, {FORCE_ROAD_CREW}), (8, {FORCE_ROAD_CREW}), (23, {FORCE_ROAD_CREW})]
+        "seed, fallbacks", [(6, {FORCE_ROAD_CREW}), (8, {FORCE_ROAD_CREW}), (38, {FORCE_ROAD_CREW})]
     )
     def test_scheduler_ledgers(self, monkeypatch, net, seed, fallbacks):
         """``build_event_table`` books the same ledger when crews route on
