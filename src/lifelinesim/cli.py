@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -280,16 +281,7 @@ def _family_stats(matrix: np.ndarray, strategies: list[str]) -> dict:
     n, k = matrix.shape
     if n >= 2 and k >= 2:
         anova = metrics.repeated_measures_anova(matrix)
-        block["anova"] = {
-            "f_statistic": anova.f_statistic,
-            "df_strategy": anova.df_strategy,
-            "df_error": anova.df_error,
-            "p_value": anova.p_value,
-            "ss_strategy": anova.ss_strategy,
-            "ss_subject": anova.ss_subject,
-            "ss_error": anova.ss_error,
-            "degenerate": anova.degenerate,
-        }
+        block["anova"] = dataclasses.asdict(anova)
         pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
         raw = []
         for i, j in pairs:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import IN_SERVICE, IntegratedNetwork, WATER, component_roots
+from .network import IntegratedNetwork, WATER, component_roots
 
 G = 9.81
 _HW_EXP = 1.852
@@ -46,7 +46,8 @@ class HydraulicError(Exception):
 
 @dataclass(frozen=True)
 class HydraulicParams:
-    """Demand model thresholds and Newton controls."""
+    """Demand model thresholds and Newton controls. A junction cut off
+    from every live source serves nothing, whatever ``p0``."""
 
     p0: float = 0.0          # pressure below which no demand is served, m
     pf: float = 20.0         # pressure at which full demand is served, m
@@ -144,7 +145,7 @@ def system_key(
     """Memo key of a compiled topology: the parameters, the water
     components whose in-service flag the statuses change
     (``IntegratedNetwork.service_key``), the forced-off set and the
-    closed tanks."""
+    closed tanks. ``_System`` compiles from this key alone."""
     return (
         "water_system",
         params,
@@ -157,10 +158,10 @@ def system_key(
 class _System:
     """One compiled topology: the arrays a Newton solve reads.
 
-    Everything here depends only on what ``system_key`` holds, so one
-    instance is shared through the network memo and never changes after
-    construction. Fixed heads follow the tank levels and are passed to
-    each solve instead.
+    It is compiled from its ``system_key`` alone, the statuses that
+    ``key_statuses`` maps it back to included, so one instance is shared
+    through the network memo and never changes after construction. Fixed
+    heads follow the tank levels and are passed to each solve instead.
 
     ``residual`` and ``jacobian_diagonal`` are the Newton kernel. The
     coefficient products they read are compiled here, each from the same
@@ -169,7 +170,9 @@ class _System:
     takes a fast path for some of them (``** 0.5`` is a square root).
     """
 
-    def __init__(self, net: IntegratedNetwork, params: HydraulicParams, in_service, closed_tanks: set[str]):
+    def __init__(self, net: IntegratedNetwork, key: tuple):
+        _, params, service, forced_off, closed_tanks = key
+        statuses = net.key_statuses(service)
         self.params = params
         reservoirs = net.components_of(WATER, "reservoir")
         tanks = [t for t in net.components_of(WATER, "tank") if t.id not in closed_tanks]
@@ -185,7 +188,7 @@ class _System:
         for pipe in net.components_of(WATER, "pipe"):
             a, b = pipe.ends
             r = hazen_williams_r(pipe.attrs["length"], pipe.attrs["diameter"], pipe.attrs["roughness"])
-            if in_service(pipe.id):
+            if net.in_service(pipe.id, statuses) and pipe.id not in forced_off:
                 if a not in closed_tanks and b not in closed_tanks:
                     raw_links.append((pipe.id, _PIPE, a, b, r, 0.0))
             else:
@@ -200,7 +203,7 @@ class _System:
                 if b not in closed_tanks:
                     raw_links.append((pipe.id + "::b", _PIPE, leak_id, b, r / 2.0, 0.0))
         for pump in net.components_of(WATER, "pump"):
-            if in_service(pump.id):
+            if net.in_service(pump.id, statuses) and pump.id not in forced_off:
                 a, b = pump.ends
                 if a not in closed_tanks and b not in closed_tanks:
                     raw_links.append((pump.id, _PUMP, a, b, float(pump.attrs["head_gain"]), float(pump.attrs["qmax"])))
@@ -373,20 +376,16 @@ class WaterSimulator:
     # -- configuration ----------------------------------------------------
 
     def set_statuses(self, statuses: dict[str, str], forced_off: set[str] | None = None) -> None:
+        """An unknown id or status raises a ``NetworkError``."""
+        self.net.check_statuses(statuses)
         self.statuses = dict(statuses)
         if forced_off is not None:
             self.forced_off = set(forced_off)
         self._last_state = None
 
-    def _in_service(self, comp_id: str) -> bool:
-        status = self.statuses.get(comp_id, self.net.component(comp_id).status)
-        return status in IN_SERVICE and comp_id not in self.forced_off
-
     def _system(self, closed_tanks: set[str]) -> _System:
-        return self.net.cached(
-            system_key(self.net, self.params, self.statuses, self.forced_off, closed_tanks),
-            lambda: _System(self.net, self.params, self._in_service, closed_tanks),
-        )
+        key = system_key(self.net, self.params, self.statuses, self.forced_off, closed_tanks)
+        return self.net.cached(key, lambda: _System(self.net, key))
 
     # -- Newton solve ----------------------------------------------------
 
@@ -553,8 +552,8 @@ class WaterSimulator:
         # one scalar call per node: numpy's array power rounds
         # differently from the scalar path in the last bit
         actual = {
-            nid: pda_demand(heads.get(nid, z) - z, base_demand, prm.p0, prm.pf, prm.e)
-            for nid, z, base_demand in self._demand_nodes  # dead nodes pin to elevation
+            nid: pda_demand(heads[nid] - z, base_demand, prm.p0, prm.pf, prm.e) if nid in heads else 0.0
+            for nid, z, base_demand in self._demand_nodes  # a dead node serves nothing
         }
         state = HydraulicState(
             time=time,

@@ -215,8 +215,6 @@ class AnovaResult:
     ss_strategy: float
     ss_subject: float
     ss_error: float
-    ms_strategy: float
-    ms_error: float
     degenerate: bool = False
 
 
@@ -261,8 +259,6 @@ def repeated_measures_anova(matrix) -> AnovaResult:
         ss_strategy=ss_strategy,
         ss_subject=ss_subject,
         ss_error=ss_error,
-        ms_strategy=ms_strategy,
-        ms_error=ms_error,
         degenerate=degenerate,
     )
 

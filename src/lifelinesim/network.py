@@ -175,24 +175,38 @@ class IntegratedNetwork:
         value = self._memo[key] = compute()
         return value
 
+    def check_statuses(self, component_statuses: dict[str, str]) -> None:
+        """Raise a NetworkError for an id that names no component of this
+        network, or a status outside ``STATUSES``."""
+        for cid, status in component_statuses.items():
+            if cid not in self._by_id or status not in STATUSES:
+                what = "no such component" if cid not in self._by_id else f"not one of {', '.join(STATUSES)}"
+                raise NetworkError(f"status {status!r} for {cid!r}: {what}")
+
+    def in_service(self, component_id: str, component_statuses: dict[str, str]) -> bool:
+        """Whether the component's status in the map, else its own status,
+        is in service. Every solver reads in-service through this."""
+        return component_statuses.get(component_id, self._by_id[component_id].status) in IN_SERVICE
+
     def service_key(self, network: str, component_statuses: dict[str, str]) -> frozenset:
         """The components of ``network`` whose in-service flag the statuses
         change from the component's own status, each with its new flag:
         all that a solver of that network reads from them. A repaired
         component keys like one that never failed, unless its own status
-        is out of service."""
+        is out of service. An unknown id or status raises."""
+        self.check_statuses(component_statuses)
         return frozenset(
             (cid, status in IN_SERVICE)
             for cid, status in component_statuses.items()
-            if cid in self._by_id
-            and self._by_id[cid].network == network
+            if self._by_id[cid].network == network
             and (status in IN_SERVICE) != (self._by_id[cid].status in IN_SERVICE)
         )
 
     @staticmethod
     def key_statuses(key: frozenset) -> dict[str, str]:
         """Statuses that ``service_key`` maps back to ``key``: repaired where
-        the key puts a component in service, failed where it takes it out."""
+        the key puts a component in service, failed where it takes it out.
+        Each memo entry under a status key is solved from these."""
         return {cid: STATUS_REPAIRED if up else STATUS_FAILED for cid, up in key}
 
     def component(self, component_id: str) -> Component:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .network import IN_SERVICE, IntegratedNetwork, POWER, component_roots
+from .network import IntegratedNetwork, POWER, component_roots
 
 _BALANCE_TOL = 1e-8
 
@@ -45,10 +45,6 @@ class PowerState:
     balance_residual: float
 
 
-def _status(net: IntegratedNetwork, statuses: dict[str, str], comp_id: str) -> str:
-    return statuses.get(comp_id, net.component(comp_id).status)
-
-
 def solve_power(
     net: IntegratedNetwork,
     component_statuses: dict[str, str] | None = None,
@@ -57,9 +53,11 @@ def solve_power(
     """Dispatch the power network under the given operating statuses.
 
     ``forced_off`` removes sources (e.g. a generator whose supply
-    reservoir ran dry) without marking them failed.
+    reservoir ran dry) without marking them failed. An unknown id or
+    status raises a ``NetworkError``.
     """
     statuses = component_statuses or {}
+    net.check_statuses(statuses)
     off = set(forced_off or ())
 
     buses = sorted(c.id for c in net.components_of(POWER, "bus"))
@@ -77,11 +75,7 @@ def solve_power(
     # node or island is named by its least bus
     ties = [(g.buses[0], b) for g in sources if g.kind == "external_grid" for b in g.buses]
     root = component_roots(buses, ties)
-    live_branches = [
-        c
-        for c in branches
-        if _status(net, statuses, c.id) in IN_SERVICE and root[c.ends[0]] != root[c.ends[1]]
-    ]
+    live_branches = [c for c in branches if net.in_service(c.id, statuses) and root[c.ends[0]] != root[c.ends[1]]]
     island = component_roots(buses, ties + [c.ends for c in live_branches])
 
     flow = {c.id: 0.0 for c in branches}
@@ -100,7 +94,7 @@ def solve_power(
             for s in sources
             if island[sorted(s.buses)[0]] == isl
             and s.id not in off
-            and _status(net, statuses, s.id) in IN_SERVICE
+            and net.in_service(s.id, statuses)
         ]
         isl_consumers = [c for c in consumers if island[c.buses[0]] == isl]
 

@@ -298,9 +298,10 @@ class _Schedule:
     def _key_roads(self) -> None:
         """Key and solve each road state as it arises, so that a failure
         raises here and not in whatever routes crews first."""
-        self.road_state = self.net.service_key(TRAFFIC, self.statuses)
+        net = self.net
+        road_state = self.road_state = net.service_key(TRAFFIC, self.statuses)
         try:
-            self.net.cached(link_times_key(self.road_state), lambda: assign_traffic(self.net, self.statuses))
+            net.cached(link_times_key(road_state), lambda: assign_traffic(net, net.key_statuses(road_state)))
         except TrafficAssignmentError as exc:
             raise SimulationError(f"traffic assignment failed during scheduling: {exc}") from exc
 
@@ -412,11 +413,10 @@ def _on_grid(t: float) -> bool:
 
 
 def _dispatch(net: IntegratedNetwork, statuses: dict[str, str], forced_off=frozenset()):
-    """``solve_power``, solved once per network and per key of what it reads."""
-    return net.cached(
-        dispatch_key(net, statuses, forced_off),
-        lambda: solve_power(net, statuses, forced_off=forced_off),
-    )
+    """``solve_power``, solved once per network and per key of what it
+    reads, from that key."""
+    key = dispatch_key(net, statuses, forced_off)
+    return net.cached(key, lambda: solve_power(net, net.key_statuses(key[1]), forced_off=key[2]))
 
 
 class _Replay:
@@ -698,8 +698,8 @@ def make_weighted_eoh_evaluator(
     """Score candidate repair orders by simulated weighted outage hours.
 
     Every candidate is a complete order, simulated to the same fixed
-    horizon (enough for all repairs plus a day of recovery) so that
-    candidates compare at one horizon.
+    horizon (enough for all repairs, from when the last crew comes free,
+    plus a day of recovery) so that candidates compare at one horizon.
 
     It keeps one score per distinct ledger, so a ledger met again is not
     replayed; a new one is simulated without a replay store, so its
@@ -708,7 +708,8 @@ def make_weighted_eoh_evaluator(
     total_repair = sum(
         repair_duration(net.component(f.component_id).kind) for f in scenario.failures
     )
-    horizon = scenario.event.occurrence_time + total_repair + POST_RECOVERY_WINDOW + 3600.0
+    start = max([scenario.event.occurrence_time] + [c.busy_until for c in crews or ()])
+    horizon = start + total_repair + POST_RECOVERY_WINDOW + 3600.0
     horizon = math.ceil(horizon / WATER_SAMPLE_STEP) * WATER_SAMPLE_STEP
     scores: dict[tuple[EventRow, ...], float] = {}
 

@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .network import IN_SERVICE, IntegratedNetwork, TRAFFIC
+from .network import IntegratedNetwork, TRAFFIC
 
 
 class TrafficAssignmentError(Exception):
@@ -104,8 +104,10 @@ def road_distances(
     An in-service link takes its time in ``link_times`` (congested
     times from an assignment), else its free-flow time. An
     out-of-service link costs ``failed_factor`` x free-flow time (crews
-    crossing a blocked road), or is impassable without a factor.
+    crossing a blocked road), or is impassable without a factor. An
+    unknown id or status raises a ``NetworkError``.
     """
+    net.check_statuses(component_statuses)
     # one graph per network: ``distances`` rewrites every weight it reads
     road = net.cached(
         ("road_graph",),
@@ -120,7 +122,7 @@ def road_distances(
     weights = np.array(
         [
             times.get(c.id, c.attrs["free_flow_time"])
-            if component_statuses.get(c.id, c.status) in IN_SERVICE
+            if net.in_service(c.id, component_statuses)
             else math.inf
             if failed_factor is None
             else failed_factor * c.attrs["free_flow_time"]
@@ -205,15 +207,14 @@ def assign_traffic(
     component_statuses: dict[str, str] | None = None,
     params: TrafficParams | None = None,
 ) -> TrafficState:
-    """Equilibrate OD demand over in-service road links."""
+    """Equilibrate OD demand over in-service road links. An unknown id
+    or status raises a ``NetworkError``."""
     prm = params or TrafficParams()
     statuses = component_statuses or {}
+    net.check_statuses(statuses)
 
-    links = [
-        c
-        for c in sorted(net.components_of(TRAFFIC, "road_link"), key=lambda c: c.id)
-        if statuses.get(c.id, c.status) in IN_SERVICE
-    ]
+    roads = sorted(net.components_of(TRAFFIC, "road_link"), key=lambda c: c.id)
+    links = [c for c in roads if net.in_service(c.id, statuses)]
     t0 = np.array([c.attrs["free_flow_time"] for c in links])
     cap = np.array([c.attrs["capacity"] for c in links])
     n = len(links)

@@ -311,6 +311,19 @@ class TestFailuresAndLeaks:
         assert state.actual_demand["J2"] < 0.01
         assert state.actual_demand["J1"] > 0.0
 
+    def test_dead_junction_serves_nothing_whatever_p0(self):
+        # with the pump off, J has no source; at p0 = -5 m its pinned zero
+        # pressure would read as 0.004472 m3/s served while no pipe feeds it
+        comps = [
+            Component("R", WATER, "reservoir", (0.0, 0.0), {"head": 5.0}),
+            Component("J", WATER, "demand_node", (100.0, 0.0), {"base_demand": 0.01, "elevation": 0.0}),
+            Component("PU", WATER, "pump", (0, 0), {"head_gain": 10.0, "qmax": 0.1}, ends=("R", "J")),
+        ]
+        sim = WaterSimulator(IntegratedNetwork(comps, []), HydraulicParams(p0=-5.0), forced_off={"PU"})
+        state = sim.solve()
+        assert state.link_flow["PU"] == 0.0
+        assert state.actual_demand["J"] == 0.0
+
     def test_forced_off_pump_cuts_downstream(self, net):
         served = solve_hydraulics(net, {}, 60.0, 60.0)[-1]
         cut = solve_hydraulics(net, {}, 60.0, 60.0, forced_off={"WPU1"})[-1]

@@ -6,8 +6,9 @@ module imports the test-oracle module ``graphs``, every binding the
 benchmark's tracer wraps still exists, the memo kinds the tests allow
 are the ones the package uses, every kind the package asks a network
 for is one of that network's kinds, every kind of the schema is built
-by the testbed or a test, and only memo keys and the two road-state
-boundaries derive a ``service_key``."""
+by the testbed or a test, only memo keys and the two road-state
+boundaries derive a ``service_key``, and only the network module names
+``IN_SERVICE``."""
 
 import argparse
 import ast
@@ -121,17 +122,22 @@ def _unread_cli_options() -> dict[str, list[str]]:
 
 def _memo_kinds() -> set[str]:
     """The first element of every key the package passes to ``cached``:
-    a tuple literal's, or that of the tuple a package function returns."""
+    a tuple literal's, or that of the tuple a package function returns,
+    called in place or assigned to a name in the calling function."""
     trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
              for p in sorted((ROOT / "src" / "lifelinesim").glob("*.py"))]
     returned = {node.name: ret.value for tree in trees for node in tree.body
                 if isinstance(node, ast.FunctionDef)
                 for ret in ast.walk(node) if isinstance(ret, ast.Return)}
     kinds = set()
-    for tree in trees:
-        for node in ast.walk(tree):
+    for fn in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        assigned = {target.id: node.value for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(fn):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "cached":
                 key = node.args[0]
+                if isinstance(key, ast.Name):
+                    key = assigned[key.id]
                 if isinstance(key, ast.Call):
                     key = returned[key.func.id]
                 kinds.add(ast.literal_eval(key.elts[0]))
@@ -275,6 +281,17 @@ def test_every_schema_kind_is_built_somewhere():
     # feature that nothing checks
     built = {c.kind for c in build_simple_testbed().components} | _kinds_built_in_tests()
     assert sorted(set(network.KINDS) - built) == []
+
+
+def test_only_the_network_module_names_in_service():
+    # what is in service is decided in one place, ``IntegratedNetwork.in_service``
+    naming = set()
+    for path in sorted((ROOT / "src" / "lifelinesim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+        if "IN_SERVICE" in names + _identifiers(tree):
+            naming.add(path.stem)
+    assert naming == {"network"}
 
 
 def test_service_key_is_derived_only_at_memo_keys_and_road_state_boundaries():

@@ -11,7 +11,7 @@ import pytest
 from lifelinesim import cli, hydraulics, recovery, simulation
 from lifelinesim.hazard import ComponentFailure, DisasterScenario, HazardEvent
 from lifelinesim.hydraulics import WaterSimulator
-from lifelinesim.network import IN_SERVICE, POWER, IntegratedNetwork
+from lifelinesim.network import IN_SERVICE, POWER, TRAFFIC, IntegratedNetwork
 from lifelinesim.powerflow import dispatch_key, solve_power
 from lifelinesim.recovery import build_planning_context, default_crews
 from lifelinesim.simulation import (
@@ -25,6 +25,7 @@ from lifelinesim.simulation import (
     simulate,
 )
 from lifelinesim.testbed import build_simple_testbed
+from lifelinesim.traffic import assign_traffic
 
 FAILURES = (
     ("PL5", "full"), ("TL-T3-T2", "full"), ("TL-T6-T5", "full"),
@@ -138,6 +139,27 @@ def test_restored_power_dispatches_once_with_the_undisrupted_state(monkeypatch):
     # the repairs restore PL5, so the last state keys like the first
     assert calls.count(dispatch_key(net)) == 1
     assert len(calls) == len(set(calls))
+
+
+def test_status_keyed_entries_are_solved_from_their_keys(monkeypatch):
+    # each dispatch and assignment a run solves reads the statuses its
+    # memo key maps back to, not the map the key was made from
+    net = build_simple_testbed()
+    solved = []
+
+    def recorded(solver, network):
+        def solve(net, statuses=None, *args, **kwargs):
+            solved.append((network, statuses))
+            return solver(net, statuses, *args, **kwargs)
+        return solve
+
+    for module in (recovery, simulation):
+        monkeypatch.setattr(module, "solve_power", recorded(solve_power, POWER))
+        monkeypatch.setattr(module, "assign_traffic", recorded(assign_traffic, TRAFFIC))
+    run_scenario(net, _scenario(), "max_flow")
+    assert {network for network, _ in solved} == {POWER, TRAFFIC}
+    for network, statuses in solved:
+        assert statuses == net.key_statuses(net.service_key(network, statuses or {})), network
 
 
 def _marked_failed(component_id: str) -> IntegratedNetwork:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lifelinesim.hydraulics import WaterSimulator
 from lifelinesim.network import (
     Component,
     Dependency,
@@ -32,8 +33,9 @@ from lifelinesim.network import (
     save_network,
     validate_network,
 )
+from lifelinesim.powerflow import solve_power
 from lifelinesim.testbed import build_simple_testbed
-from lifelinesim.traffic import road_distances
+from lifelinesim.traffic import assign_traffic, road_distances
 
 
 class TestTestbedShape:
@@ -325,6 +327,38 @@ class TestStatusTransitions:
     def test_illegal(self, old, new):
         with pytest.raises(ValueError):
             check_transition(old, new)
+
+
+class TestStatusMaps:
+    """A status map the network cannot read is rejected at every entry
+    that takes one, naming the id and the status, instead of being
+    ignored or read as a failure."""
+
+    ENTRIES = {
+        "service_key": lambda net, statuses: net.service_key(POWER, statuses),
+        "solve_power": solve_power,
+        "assign_traffic": assign_traffic,
+        "road_distances": lambda net, statuses: road_distances(net, "T1", statuses),
+        "set_statuses": lambda net, statuses: WaterSimulator(net).set_statuses(statuses),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize(
+        "component_id, status",
+        # an unknown id read as no change, and misspelled statuses read as a failure
+        [("PL55", STATUS_FAILED), ("PL5", "repaird"), ("TL-T5-T6", "repaird"), ("WP-W1-W2", "Failed")],
+    )
+    def test_unknown_id_or_status_raises(self, net, entry, component_id, status):
+        with pytest.raises(NetworkError) as info:
+            self.ENTRIES[entry](net, {"PL5": STATUS_REPAIRED, component_id: status})
+        assert repr(component_id) in str(info.value) and repr(status) in str(info.value)
+
+    def test_in_service_reads_the_map_then_the_component(self, net):
+        assert net.in_service("PL5", {})
+        assert not net.in_service("PL5", {"PL5": STATUS_UNDER_REPAIR})
+        assert net.in_service("PL5", {"PL5": STATUS_REPAIRED})
+        marked = IntegratedNetwork([replace(c, status=STATUS_FAILED) if c.id == "PL5" else c for c in net.components])
+        assert not marked.in_service("PL5", {"TL-T5-T6": STATUS_FAILED})
 
 
 class TestTrafficAdjacency:

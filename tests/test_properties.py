@@ -87,14 +87,20 @@ def test_runs_sharing_a_store_equal_storeless_runs(seed, strategies):
     count=st.integers(2, 6),
     horizon=st.sampled_from((1, 2)),
     per_network=st.integers(1, 2),
+    water_free=st.sampled_from((0.0, 3e5)),
 )
 # where each candidate was scored as a cut order, with the rest of its
 # network left failed, mpc read 3.593 > 3.446 h and 7.120 > 7.039 h
-@example(seed=527, count=6, horizon=1, per_network=1)
-@example(seed=624, count=10, horizon=2, per_network=1)
-def test_mpc_never_scores_above_max_flow(seed, count, horizon, per_network):
-    # both orders are scored by the mpc run's own evaluator, at its horizon
+@example(seed=527, count=6, horizon=1, per_network=1, water_free=0.0)
+@example(seed=624, count=10, horizon=2, per_network=1, water_free=0.0)
+# where the evaluator's horizon counted from the occurrence time, not from
+# when the late water crew comes free, mpc raised while max_flow ran
+@example(seed=1, count=6, horizon=2, per_network=1, water_free=3e5)
+def test_mpc_never_scores_above_max_flow(seed, count, horizon, per_network, water_free):
+    # both orders are scored by the mpc run's own evaluator, at its horizon;
+    # the first water crew is busy until ``water_free``
     scenario = sample_scenario(NET, HazardEvent(kind="random", intensity="extreme", count=count), seed=seed)
+    crews = [replace(c, busy_until=water_free) if c.id == "water-crew-1" else c for c in _crews(per_network)]
     search = simulation.mpc_sequence
     scores = []
 
@@ -105,6 +111,6 @@ def test_mpc_never_scores_above_max_flow(seed, count, horizon, per_network):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(simulation, "mpc_sequence", recorded)
-        run_scenario(NET, scenario, "mpc", mpc_horizon=horizon, crews=_crews(per_network))
+        run_scenario(NET, scenario, "mpc", mpc_horizon=horizon, crews=crews)
     ((mpc, max_flow),) = scores
     assert mpc <= max_flow

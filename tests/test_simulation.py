@@ -499,7 +499,9 @@ class TestSolverErrorsWrapped:
         real = simulation.assign_traffic
 
         def failing(net, statuses):
-            if STATUS_REPAIRED in statuses.values():
+            # the road state with TL-T5-T6 open again, which keys like the
+            # undisrupted one
+            if net.in_service("TL-T5-T6", statuses):
                 raise error
             return real(net, statuses)
 
