@@ -99,6 +99,7 @@ def hazen_williams_r(length: float, diameter: float, roughness: float) -> float:
 
 # link type codes in the compiled system
 _PIPE, _PUMP = 0, 1
+_FORCED_OFF_KINDS = ("pipe", "pump")  # what ``forced_off`` may name
 
 
 @dataclass
@@ -347,7 +348,8 @@ class WaterSimulator:
 
     Each topology it meets is compiled once per network: the compiled
     ``_System`` is kept in the network memo under ``system_key``, and
-    each Newton run in the network's ``_NewtonTable``.
+    each Newton run in the network's ``_NewtonTable``. A forced-off id
+    that names no pipe or pump raises a ``NetworkError``.
     """
 
     def __init__(
@@ -359,6 +361,7 @@ class WaterSimulator:
         self.net = net
         self.params = params or HydraulicParams()
         self.forced_off: set[str] = set(forced_off or ())
+        net.check_forced_off(self.forced_off, _FORCED_OFF_KINDS)
         self.statuses: dict[str, str] = {}
         self.tank_level: dict[str, float] = {
             t.id: float(t.attrs["init_level"]) for t in net.components_of(WATER, "tank")
@@ -371,15 +374,16 @@ class WaterSimulator:
         self._warm_h: dict[str, float] = {}
         self._warm_q: dict[str, float] = {}
         self._last_state: HydraulicState | None = None
-        self._solved_levels: dict[str, float] | None = None
 
     # -- configuration ----------------------------------------------------
 
     def set_statuses(self, statuses: dict[str, str], forced_off: set[str] | None = None) -> None:
-        """An unknown id or status raises a ``NetworkError``."""
+        """An unknown id or status, or a forced-off id that names no pipe
+        or pump, raises a ``NetworkError``."""
         self.net.check_statuses(statuses)
         self.statuses = dict(statuses)
         if forced_off is not None:
+            self.net.check_forced_off(forced_off, _FORCED_OFF_KINDS)
             self.forced_off = set(forced_off)
         self._last_state = None
 
@@ -506,7 +510,6 @@ class WaterSimulator:
         self._warm_h = dict(zip(sys.junction_ids, h))
         self._warm_q = dict(zip(sys.link_ids, q))
         self._last_state = state
-        self._solved_levels = dict(self.tank_level)
         return state
 
     def _tank_inflows(self, sys: _System, q) -> dict[str, float]:
@@ -527,14 +530,15 @@ class WaterSimulator:
 
     def is_frozen(self) -> bool:
         """True when the last solve is still current and ``advance`` is the
-        identity for any step: every level equals its solved level, and
-        each tank's last inflow is exactly zero with its level within its
-        bounds, or pushes against the bound its level already sits at.
-        Then no later step or solve changes anything until the statuses
-        do. This one rule decides both when a stepper re-solves and when
-        it repeats its last state.
+        identity for any step: every level equals the last state's
+        ``tank_level`` (copied when it was solved; callers must not mutate
+        it), and each tank's last inflow is exactly zero with its level
+        within its bounds, or pushes against the bound its level already
+        sits at. Then no later step or solve changes anything until the
+        statuses do. This one rule decides both when a stepper re-solves
+        and when it repeats its last state.
         """
-        if self._last_state is None or self.tank_level != self._solved_levels:
+        if self._last_state is None or self.tank_level != self._last_state.tank_level:
             return False
         for tid, tank in self._tanks.items():
             inflow, level, a = self._last_state.tank_inflow[tid], self.tank_level[tid], tank.attrs

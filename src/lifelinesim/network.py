@@ -63,6 +63,11 @@ _ROLE_KINDS = {
     (n, r): {k for k, (kn, kr, _) in KINDS.items() if (kn, kr) == (n, r)} for n, r, _ in KINDS.values()
 }
 
+# the power sources, and the kinds whose status a solver reads: every
+# edge, and the sources
+SOURCE_KINDS = ("external_grid", "generator")
+STATUS_KINDS = frozenset(k for k, (_, role, _) in KINDS.items() if role == "edge").union(SOURCE_KINDS)
+
 # components a hazard may fail directly
 HAZARD_ELIGIBLE_KINDS = {"pipe", "line", "road_link"}
 
@@ -177,11 +182,27 @@ class IntegratedNetwork:
 
     def check_statuses(self, component_statuses: dict[str, str]) -> None:
         """Raise a NetworkError for an id that names no component of this
-        network, or a status outside ``STATUSES``."""
+        network, a status outside ``STATUSES``, or a status other than
+        operational on a kind outside ``STATUS_KINDS``, which no solver
+        reads."""
         for cid, status in component_statuses.items():
-            if cid not in self._by_id or status not in STATUSES:
-                what = "no such component" if cid not in self._by_id else f"not one of {', '.join(STATUSES)}"
-                raise NetworkError(f"status {status!r} for {cid!r}: {what}")
+            comp = self._by_id.get(cid)
+            if comp is None:
+                raise NetworkError(f"status {status!r} for {cid!r}: no such component")
+            if status not in STATUSES:
+                raise NetworkError(f"status {status!r} for {cid!r}: not one of {', '.join(STATUSES)}")
+            if status != STATUS_OPERATIONAL and comp.kind not in STATUS_KINDS:
+                raise NetworkError(f"status {status!r} for {cid!r}: no solver reads the status of a {comp.kind}")
+
+    def check_forced_off(self, forced_off, kinds) -> None:
+        """Raise a NetworkError for a forced-off id that names no component
+        of this network, or names one whose kind is not in ``kinds``, the
+        kinds the solver can force off."""
+        for cid in sorted(forced_off):
+            kind = self._by_id[cid].kind if cid in self._by_id else None
+            if kind not in kinds:
+                what = "no such component" if kind is None else f"a {kind}, not one of {', '.join(kinds)}"
+                raise NetworkError(f"forced-off {cid!r}: {what}")
 
     def in_service(self, component_id: str, component_statuses: dict[str, str]) -> bool:
         """Whether the component's status in the map, else its own status,
@@ -315,6 +336,8 @@ def validate_network(net: IntegratedNetwork) -> list[Violation]:
             continue
         if c.status not in STATUSES:
             out.append(Violation(c.id, "known-status", f"unknown status {c.status!r}"))
+        elif c.status != STATUS_OPERATIONAL and c.kind not in STATUS_KINDS:
+            out.append(Violation(c.id, "status-kind", f"{c.status!r} on a {c.kind}, whose status no solver reads"))
         _, role, rules = KINDS[c.kind]
         for attr, rule in rules.items():
             if rule != "?" and attr not in c.attrs:

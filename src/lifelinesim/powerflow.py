@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .network import IntegratedNetwork, POWER, component_roots
+from .network import SOURCE_KINDS, IntegratedNetwork, POWER, component_roots
 
 _BALANCE_TOL = 1e-8
 
@@ -54,16 +54,18 @@ def solve_power(
 
     ``forced_off`` removes sources (e.g. a generator whose supply
     reservoir ran dry) without marking them failed. An unknown id or
-    status raises a ``NetworkError``.
+    status, or a forced-off id that names no source, raises a
+    ``NetworkError``.
     """
     statuses = component_statuses or {}
     net.check_statuses(statuses)
     off = set(forced_off or ())
+    net.check_forced_off(off, SOURCE_KINDS)
 
     buses = sorted(c.id for c in net.components_of(POWER, "bus"))
     branches = sorted(net.edges_of(POWER), key=lambda c: c.id)
     sources = sorted(
-        (c for c in net.attached_of() if c.kind in ("external_grid", "generator")),
+        (c for c in net.attached_of() if c.kind in SOURCE_KINDS),
         key=lambda c: c.id,
     )
     consumers = sorted(

@@ -93,12 +93,13 @@ def default_crews(net: IntegratedNetwork, start: str | None = None) -> list[Crew
 
 @dataclass(frozen=True)
 class PlanningContext:
-    """What the ranking criteria look at: each component's peak
-    pre-disaster flow, and ``crew_travel``, each network's read-only
-    ``crew_distances`` table under the post-failure road state from the
-    garage of its least-id crew, so the order of the crews changes no
-    ranking."""
-    peak_flow: dict[str, float]
+    """What the ranking criteria look at: ``peak_flow``, each
+    component's peak pre-disaster flow, and ``crew_travel``, each
+    network's ``crew_distances`` table under the post-failure road state
+    from the garage of its least-id crew, so the order of the crews
+    changes no ranking. Both are the network memo's read-only tables,
+    shared by every context built on the network."""
+    peak_flow: Mapping[str, float]
     crew_travel: dict[str, Mapping[str, float]]
 
 
@@ -152,11 +153,11 @@ def build_planning_context(
     ``build_event_table`` reads for its first crew choices.
     """
     crews = crews if crews is not None else default_crews(net)
-    peak = net.cached(("peak_flow",), lambda: _peak_flows(net))
+    peak = net.cached(("peak_flow",), lambda: MappingProxyType(_peak_flows(net)))
     road_state = net.service_key(TRAFFIC, {cid: STATUS_FAILED for cid in failed})
     garages = {c.network: c.location for c in sorted(crews, key=lambda c: c.id, reverse=True)}
     travel = {network: crew_distances(net, garage, road_state) for network, garage in garages.items()}
-    return PlanningContext(peak_flow=dict(peak), crew_travel=travel)
+    return PlanningContext(peak_flow=peak, crew_travel=travel)
 
 
 def _peak_flows(net: IntegratedNetwork) -> dict[str, float]:

@@ -43,6 +43,7 @@ from .network import (
     TRAFFIC,
     WATER,
     IntegratedNetwork,
+    NetworkError,
     access_node,
     check_transition,
 )
@@ -631,6 +632,10 @@ def simulate(
     one the call uses a private one. It keeps the result of each (ledger
     rows, horizon) simulated through it, which a repeat returns without
     replaying, so the series arrays of every result are read-only.
+
+    A ledger that ``EventTable.validate`` rejects, or with a row for a
+    component this network lacks or whose status no solver reads
+    (``IntegratedNetwork.check_statuses``), raises a ``SimulationError``.
     """
     store = {} if store is None else store
     key = (table.rows, default_horizon(table) if horizon is None else horizon)
@@ -639,6 +644,10 @@ def simulate(
     problems = table.validate()
     if problems:
         raise SimulationError("invalid event table: " + "; ".join(problems))
+    try:
+        net.check_statuses({row.component_id: _ACTION_STATUS[row.action] for row in table.rows})
+    except NetworkError as exc:
+        raise SimulationError(f"invalid event table: {exc}") from exc
     _check_finite_horizon(horizon)
     if horizon is not None and horizon < table.last_time():
         raise SimulationError(

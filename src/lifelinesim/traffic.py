@@ -42,22 +42,19 @@ class TrafficParams:
 
 @dataclass
 class TrafficState:
+    """One equilibrium: each in-service link's flow and its volume-delay
+    time at that flow, the relative gap and the Frank-Wolfe iterations
+    it stopped at, and the OD pairs with no usable path."""
+
     link_flow: dict[str, float]
     link_time: dict[str, float]
     relative_gap: float
     iterations: int
     unreachable: list[tuple[str, str]]
-    beckmann_history: list[float]
 
 
 def _bpr(x, t0, cap, prm: TrafficParams):
     return t0 * (1.0 + prm.alpha * (x / cap) ** prm.beta)
-
-
-def _beckmann(x, t0, cap, prm: TrafficParams) -> float:
-    return float(
-        np.sum(t0 * x + t0 * prm.alpha * cap / (prm.beta + 1.0) * (x / cap) ** (prm.beta + 1.0))
-    )
 
 
 class RoadGraph:
@@ -208,7 +205,12 @@ def assign_traffic(
     params: TrafficParams | None = None,
 ) -> TrafficState:
     """Equilibrate OD demand over in-service road links. An unknown id
-    or status raises a ``NetworkError``."""
+    or status raises a ``NetworkError``.
+
+    Iterates until the relative gap is at most ``gap_tol``. The link
+    times returned are the ones that last gap was measured on, so they
+    belong to the flows returned. Past ``max_iterations`` it raises a
+    ``TrafficAssignmentError``."""
     prm = params or TrafficParams()
     statuses = component_statuses or {}
     net.check_statuses(statuses)
@@ -228,16 +230,14 @@ def assign_traffic(
 
     zone_ids = [z.id for z in net.nodes_of(TRAFFIC)]
 
-    history: list[float] = []
     if n == 0 or not demands:
         unreachable = [(o, d) for o, d, _ in demands]
         state_flow = {c.id: 0.0 for c in links}
         state_time = {c.id: float(t0[k]) for k, c in enumerate(links)}
-        return TrafficState(state_flow, state_time, 0.0, 0, sorted(unreachable), history)
+        return TrafficState(state_flow, state_time, 0.0, 0, sorted(unreachable))
 
     all_or_nothing = _AllOrNothing(links, demands, zone_ids)
     x, _ = all_or_nothing(t0)
-    history.append(_beckmann(x, t0, cap, prm))
     gap = math.inf
     it = 0
     for it in range(1, prm.max_iterations + 1):
@@ -257,20 +257,17 @@ def assign_traffic(
         else:
             alpha = brentq(dB, 0.0, 1.0, xtol=1e-12)
         x = x + alpha * d
-        history.append(_beckmann(x, t0, cap, prm))
     else:
         raise TrafficAssignmentError(
             f"no equilibrium after {prm.max_iterations} iterations (relative gap {gap:.2e})"
         )
 
-    times = _bpr(x, t0, cap, prm)
     return TrafficState(
         link_flow={c.id: float(x[k]) for k, c in enumerate(links)},
         link_time={c.id: float(times[k]) for k, c in enumerate(links)},
         relative_gap=float(gap),
         iterations=it,
         unreachable=sorted(all_or_nothing.unreachable),
-        beckmann_history=history,
     )
 
 

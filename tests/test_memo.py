@@ -105,8 +105,12 @@ def test_mutating_a_context_leaves_later_runs_alone():
     want = build_planning_context(_unmemoized(), default_crews(net), failed)
 
     first = build_planning_context(net, default_crews(net), failed)
-    first.peak_flow["PL5"] = 1e9
-    first.peak_flow.pop("WP-W2-W5")
+    # the memo's peak flows are handed out read-only, as its crew tables are
+    for table in (first.peak_flow, first.crew_travel[TRAFFIC]):
+        with pytest.raises(TypeError):
+            table["PL5"] = 1e9
+    with pytest.raises(TypeError):
+        del first.peak_flow["WP-W2-W5"]
 
     assert build_planning_context(net, default_crews(net), failed).peak_flow == want.peak_flow
     _assert_same_result(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifelinesim.hydraulics import WaterSimulator
+from lifelinesim.hydraulics import WaterSimulator, solve_hydraulics
 from lifelinesim.network import (
     Component,
     Dependency,
@@ -198,6 +198,16 @@ class TestValidation:
         violations = validate_network(IntegratedNetwork(comps, deps, od_matrix=net.od_matrix, zone_priority=net.zone_priority))
         assert [(v.component_id, v.rule) for v in violations] == [(new_id, "reserved-id")]
 
+    @pytest.mark.parametrize("component_id, status", [
+        ("B9", STATUS_FAILED), ("PLD3", STATUS_FAILED), ("PM1", STATUS_REPAIRED),
+        ("WT1", STATUS_UNDER_REPAIR), ("WR1", STATUS_FAILED), ("W1", STATUS_FAILED), ("T1", STATUS_FAILED),
+    ])
+    def test_status_no_solver_reads_flagged(self, net, component_id, status):
+        comps = [replace(c, status=status) if c.id == component_id else c for c in net.components]
+        marked = IntegratedNetwork(comps, net.dependencies, od_matrix=net.od_matrix, zone_priority=net.zone_priority)
+        violations = validate_network(marked)
+        assert [(v.component_id, v.rule) for v in violations] == [(component_id, "status-kind")]
+
     def test_duplicate_ids_flagged(self):
         comps = [
             Component("X", WATER, "demand_node", (0.0, 0.0), {"base_demand": 0.01, "elevation": 0.0}),
@@ -345,13 +355,47 @@ class TestStatusMaps:
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
     @pytest.mark.parametrize(
         "component_id, status",
-        # an unknown id read as no change, and misspelled statuses read as a failure
-        [("PL55", STATUS_FAILED), ("PL5", "repaird"), ("TL-T5-T6", "repaird"), ("WP-W1-W2", "Failed")],
+        # an unknown id read as no change, misspelled statuses read as a
+        # failure, and statuses no solver reads
+        [
+            ("PL55", STATUS_FAILED), ("PL5", "repaird"), ("TL-T5-T6", "repaird"), ("WP-W1-W2", "Failed"),
+            ("B9", STATUS_FAILED), ("PLD3", STATUS_FAILED), ("WT1", STATUS_FAILED), ("W1", STATUS_FAILED),
+            ("T1", STATUS_FAILED),
+        ],
     )
     def test_unknown_id_or_status_raises(self, net, entry, component_id, status):
         with pytest.raises(NetworkError) as info:
             self.ENTRIES[entry](net, {"PL5": STATUS_REPAIRED, component_id: status})
         assert repr(component_id) in str(info.value) and repr(status) in str(info.value)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_operational_is_read_on_any_kind(self, net, entry):
+        self.ENTRIES[entry](net, {cid: STATUS_OPERATIONAL for cid in ("B9", "PLD3", "WT1", "W1", "T1", "PL5")})
+
+    # entry -> (call, a forced-off set it accepts): power forces off its
+    # sources, water its pipes and pumps
+    FORCED_OFF_ENTRIES = {
+        "solve_power": (lambda net, off: solve_power(net, {}, forced_off=off), {"PG1"}),
+        "WaterSimulator": (lambda net, off: WaterSimulator(net, forced_off=off), {"WPU1", "WP-W1-W2"}),
+        "set_statuses": (lambda net, off: WaterSimulator(net).set_statuses({}, forced_off=off), {"WPU1", "WP-W1-W2"}),
+        "solve_hydraulics": (
+            lambda net, off: solve_hydraulics(net, {}, 60.0, 60.0, forced_off=off), {"WPU1", "WP-W1-W2"}
+        ),
+    }
+
+    @pytest.mark.parametrize("entry, component_id", [
+        *(("solve_power", cid) for cid in ("PG11", "WPU1", "PL5", "B1", "PLD1", "PM1")),
+        *(
+            (entry, cid)
+            for entry in ("WaterSimulator", "set_statuses", "solve_hydraulics")
+            for cid in ("WPU11", "PG1", "WT1", "WR1", "W1", "T1")
+        ),
+    ])
+    def test_unknown_or_wrong_kind_forced_off_raises(self, net, entry, component_id):
+        call, accepted = self.FORCED_OFF_ENTRIES[entry]
+        call(net, accepted)
+        with pytest.raises(NetworkError, match=f"forced-off {component_id!r}"):
+            call(net, accepted | {component_id})
 
     def test_in_service_reads_the_map_then_the_component(self, net):
         assert net.in_service("PL5", {})

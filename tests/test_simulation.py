@@ -22,6 +22,7 @@ from lifelinesim.network import (
     Component,
     Dependency,
     IntegratedNetwork,
+    NetworkError,
     component_location,
     nearest_zone,
 )
@@ -199,6 +200,22 @@ class TestTableValidation:
         table = EventTable((EventRow(0.0, "PW", ACTION_FAIL), EventRow(1.0, "PW", ACTION_FAIL)))
         with pytest.raises(SimulationError, match="invalid event table"):
             simulate(corridor_net, table, horizon=60.0)
+
+    @pytest.mark.parametrize("component_id, reason", [
+        ("GHOST", "no such component"),
+        ("T1", "no solver reads the status of a zone_node"),
+        ("WT1", "no solver reads the status of a tank"),
+    ])
+    def test_simulate_rejects_rows_no_solver_reads(self, monkeypatch, component_id, reason):
+        # checked once, before any replay work
+        def replayed(*args):
+            raise AssertionError("replayed")
+
+        monkeypatch.setattr(simulation, "_run_series", replayed)
+        table = EventTable((EventRow(0.0, component_id, ACTION_FAIL), EventRow(60.0, "PL5", ACTION_FAIL)))
+        with pytest.raises(SimulationError, match=f"invalid event table: .*{component_id!r}: {reason}$") as info:
+            simulate(build_simple_testbed(), table, horizon=120.0)
+        assert isinstance(info.value.__cause__, NetworkError)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_times_are_invalid(self, bad):

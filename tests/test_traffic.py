@@ -74,10 +74,34 @@ class TestTwoLinkEquilibrium:
 
 
 class TestConvergence:
-    def test_beckmann_objective_non_increasing(self, net):
+    def test_beckmann_objective_non_increasing(self, monkeypatch, net):
+        # each iterate is the flow an iteration passes to _bpr just before
+        # its all-or-nothing call; the line search's calls come after it
+        last, iterates = [], []
+        bpr, step = traffic._bpr, traffic._AllOrNothing.__call__
+
+        def recorded_bpr(x, *args):
+            last[:] = [x]
+            return bpr(x, *args)
+
+        def recorded_step(self, times):
+            iterates.extend(last)
+            return step(self, times)
+
+        monkeypatch.setattr(traffic, "_bpr", recorded_bpr)
+        monkeypatch.setattr(traffic._AllOrNothing, "__call__", recorded_step)
         state = assign_traffic(net)
-        hist = state.beckmann_history
-        assert len(hist) >= 1
+        assert len(iterates) == state.iterations >= 1
+        assert iterates[-1].tolist() == list(state.link_flow.values())
+
+        prm = TrafficParams()
+        links = sorted(net.components_of(TRAFFIC, "road_link"), key=lambda c: c.id)
+        t0 = np.array([c.attrs["free_flow_time"] for c in links])
+        cap = np.array([c.attrs["capacity"] for c in links])
+        hist = [
+            float(np.sum(t0 * x + t0 * prm.alpha * cap / (prm.beta + 1.0) * (x / cap) ** (prm.beta + 1.0)))
+            for x in iterates
+        ]
         assert all(b <= a + 1e-9 * abs(a) for a, b in zip(hist, hist[1:]))
 
     def test_gap_below_tolerance(self, net):
@@ -186,11 +210,23 @@ class _HeapAllOrNothing:
 
 
 def _outcome(net, statuses, params):
-    try:
-        s = assign_traffic(net, statuses, params)
-    except TrafficAssignmentError as exc:
-        return str(exc)
-    return (s.link_flow, s.link_time, s.relative_gap, s.iterations, s.beckmann_history, s.unreachable)
+    """The assignment's fields and, per iteration, the loads and SPTT of
+    its all-or-nothing call; or the error text."""
+    calls = []
+
+    class Recorded(traffic._AllOrNothing):
+        def __call__(self, times):
+            y, sptt = super().__call__(times)
+            calls.append((y.tolist(), sptt))
+            return y, sptt
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(traffic, "_AllOrNothing", Recorded)
+        try:
+            s = assign_traffic(net, statuses, params)
+        except TrafficAssignmentError as exc:
+            return str(exc)
+    return (s.link_flow, s.link_time, s.relative_gap, s.iterations, calls, s.unreachable)
 
 
 def _assert_same_as_heap(monkeypatch, net, statuses=None, params=None):
