@@ -194,7 +194,7 @@ class IntegratedNetwork:
             if status != STATUS_OPERATIONAL and comp.kind not in STATUS_KINDS:
                 raise NetworkError(f"status {status!r} for {cid!r}: no solver reads the status of a {comp.kind}")
 
-    def check_forced_off(self, forced_off, kinds) -> None:
+    def check_forced_off(self, forced_off: set[str], kinds: tuple[str, ...]) -> None:
         """Raise a NetworkError for a forced-off id that names no component
         of this network, or names one whose kind is not in ``kinds``, the
         kinds the solver can force off."""
